@@ -677,8 +677,8 @@ func cmdServe(args []string) {
 	log.Printf("serving reasoning API on %s (%d nodes, %d edges)", *addr, g.NumNodes(), g.NumEdges())
 	var handler = vadalink.APIHandlerWith(g, cfg)
 	if fl != nil || node != nil {
-		// Let the server adopt the follower's (or the replica node's tailing
-		// half's) graph and track it across snapshot bootstraps.
+		// The server serves the follower's (or the replica node's tailing
+		// half's) version chain, which tracks snapshot bootstraps itself.
 		handler = vadalink.APIHandlerWith(nil, cfg)
 	}
 	if err := vadalink.ServeAPI(ctx, *addr, handler); err != nil {

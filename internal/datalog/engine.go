@@ -302,17 +302,11 @@ type aggGroup struct {
 // NewEngine prepares a program for evaluation, configured by functional
 // options (WithBudget, WithParallel, WithStats, ...). It returns an error if
 // a rule is invalid or negation is not stratifiable.
-func NewEngine(prog *Program, opts ...Option) (*Engine, error) {
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
+func NewEngine(prog *Program, options ...Option) (*Engine, error) {
+	var opts Options
+	for _, opt := range options {
+		opt(&opts)
 	}
-	return newEngine(prog, o)
-}
-
-// newEngine is the construction path shared by NewEngine and the deprecated
-// NewEngineWith shim.
-func newEngine(prog *Program, opts Options) (*Engine, error) {
 	if opts.MinAggDelta == 0 {
 		opts.MinAggDelta = 1e-9
 	}

@@ -4,18 +4,8 @@ package datalog
 //
 //	e, err := NewEngine(prog, WithBudget(b), WithParallel(4), WithStats())
 //
-// Options compose left to right; later options win. The Options struct
-// behind them remains exported as the compatibility carrier for code written
-// against the pre-option constructor — bridge it with WithOptions or the
-// deprecated NewEngineWith.
+// Options compose left to right; later options win.
 type Option func(*Options)
-
-// WithOptions replaces the whole configuration with a hand-built Options
-// struct. It is the bridge for legacy call sites: place it first so later
-// functional options still apply on top.
-func WithOptions(opts Options) Option {
-	return func(o *Options) { *o = opts }
-}
 
 // WithMinAggDelta sets the minimum monotonic-aggregate improvement that
 // triggers a new derivation (termination epsilon on cyclic inputs).
@@ -75,14 +65,4 @@ func WithStats() Option {
 // for progress reporting and test instrumentation.
 func WithHook(h Hook) Option {
 	return func(o *Options) { o.Hook = h }
-}
-
-// NewEngineWith prepares a program for evaluation with a hand-built Options
-// struct.
-//
-// Deprecated: use NewEngine with functional options (WithBudget,
-// WithParallel, WithStats, ...); wholesale Options structs still bridge in
-// through WithOptions. Kept so pre-redesign call sites compile unchanged.
-func NewEngineWith(prog *Program, opts Options) (*Engine, error) {
-	return newEngine(prog, opts)
 }

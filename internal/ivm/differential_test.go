@@ -109,9 +109,6 @@ func TestDifferentialMaintenance(t *testing.T) {
 				t.Fatalf("%s: commit %d: %v", name, c, err)
 			}
 			commits++
-			if len(d.applyErrs) > 0 {
-				t.Fatalf("%s: commit %d: maintenance failed: %v", name, c, d.applyErrs)
-			}
 			checkAgainstOracle(t, fmt.Sprintf("%s commit %d", name, c), d.maintained(), d.oracle())
 			if t.Failed() {
 				t.Fatalf("%s: stopping after first divergence", name)
@@ -151,8 +148,7 @@ func TestConcurrentReadsDuringApply(t *testing.T) {
 					return
 				default:
 				}
-				cur := d.vs.Current()
-				bl := d.m.Baseline(cur.Seq(), whatif.DefaultThreshold)
+				bl := d.pinned()
 				if bl == nil {
 					continue // a commit won the race; next iteration
 				}
@@ -183,9 +179,6 @@ func TestConcurrentReadsDuringApply(t *testing.T) {
 		}
 		if _, err := txn.Commit(); err != nil {
 			t.Fatalf("commit %d: %v", c, err)
-		}
-		if len(d.applyErrs) > 0 {
-			t.Fatalf("commit %d: maintenance failed: %v", c, d.applyErrs)
 		}
 	}
 	close(stop)

@@ -28,6 +28,11 @@
 // back to a full baseline computation and re-seed. All methods are safe for
 // concurrent use; Apply runs under the maintainer's lock while published
 // baselines stay immutable, so readers never block on maintenance.
+//
+// OnCommit is the store.Versioned commit hook that feeds it on every role:
+// it only queues the journal, so commits — and on a replica, frame
+// application — never wait on a maintenance chase. Drain applies the queue
+// up to the version a reader pinned.
 package ivm
 
 import (
@@ -40,8 +45,19 @@ import (
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
 	"vadalink/internal/relstore"
+	"vadalink/internal/store"
 	"vadalink/internal/whatif"
 )
+
+// maxQueued bounds the mutations awaiting maintenance; past it the queue
+// drops, and the journal gap invalidates the maintained state.
+const maxQueued = 1 << 16
+
+// pending is one committed journal awaiting maintenance.
+type pending struct {
+	from, to uint64
+	muts     []pg.Mutation
+}
 
 // closeLinkDeltaProgram is the aggregate-free close-link program the
 // mini-engine maintains through ApplyDelta. It is the image of the
@@ -95,10 +111,18 @@ type Maintainer struct {
 
 	valid bool
 	seq   uint64
+	root  uint64           // the Roots value the maintained state belongs to
 	bl    *whatif.Baseline // published: immutable once stored here
 	cl    *datalog.Engine  // close-link mini-engine (strong/iscompany EDB)
 
 	stats Stats
+
+	// qmu guards the commit queue and the root counter; OnCommit takes only
+	// qmu, never mu.
+	qmu    sync.Mutex
+	queue  []pending
+	queued int
+	roots  uint64
 }
 
 // New creates an empty (invalid) maintainer for one close-link threshold;
@@ -120,21 +144,92 @@ func (m *Maintainer) Threshold() float64 { return m.threshold }
 
 // Init computes a full baseline of v and seeds the maintainer with it.
 func (m *Maintainer) Init(ctx context.Context, v pg.View, seq uint64) error {
+	roots := m.Roots()
 	bl, err := whatif.ComputeBaseline(ctx, v, m.threshold, m.opts...)
 	if err != nil {
 		return err
 	}
-	return m.Seed(ctx, v, seq, bl)
+	return m.Seed(ctx, v, seq, roots, bl)
+}
+
+// OnCommit is the version chain's commit hook: it queues the journal that
+// produced next for a later Drain. A nil journal marks a new root (a
+// replica's snapshot bootstrap) that no journal describes: the queue and
+// the maintained state are dropped.
+func (m *Maintainer) OnCommit(next *store.Version, journal []pg.Mutation) {
+	m.qmu.Lock()
+	defer m.qmu.Unlock()
+	if journal == nil {
+		m.roots++
+		m.queue, m.queued = nil, 0
+		return
+	}
+	m.queue = append(m.queue, pending{from: next.Seq() - uint64(len(journal)), to: next.Seq(), muts: journal})
+	if m.queued += len(journal); m.queued > maxQueued {
+		m.queue, m.queued = nil, 0
+	}
+}
+
+// Roots counts the new roots OnCommit has observed. Read it before pinning
+// the version a baseline for Seed is computed over: a seed whose count is
+// stale describes a history a bootstrap has since replaced.
+func (m *Maintainer) Roots() uint64 {
+	m.qmu.Lock()
+	defer m.qmu.Unlock()
+	return m.roots
+}
+
+// Drain applies the queued journals up to seq, where post is the view of
+// the version at seq. Journals past seq stay queued for a later reader, and
+// so does everything while the commit hook has not yet queued seq itself.
+// An invalid maintainer leaves the queue alone: a Seed at or below seq
+// still needs it.
+func (m *Maintainer) Drain(ctx context.Context, post pg.View, seq uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.qmu.Lock()
+	if m.valid && m.root != m.roots {
+		m.stats.Invalidations++
+		m.invalidateLocked()
+	}
+	var take []pending
+	if n := len(m.queue); m.valid && m.seq < seq && n > 0 && m.queue[n-1].to >= seq {
+		take = m.takeThrough(seq)
+	}
+	m.qmu.Unlock()
+	if len(take) == 0 {
+		return
+	}
+	var muts []pg.Mutation
+	for _, p := range take {
+		muts = append(muts, p.muts...)
+	}
+	_ = m.applyLocked(ctx, post, take[0].from, seq, muts)
+}
+
+// takeThrough pops the queued journals up to seq. The caller holds qmu.
+func (m *Maintainer) takeThrough(seq uint64) []pending {
+	n := 0
+	for n < len(m.queue) && m.queue[n].to <= seq {
+		m.queued -= len(m.queue[n].muts)
+		n++
+	}
+	take := m.queue[:n]
+	m.queue = m.queue[n:]
+	return take
 }
 
 // Seed installs an externally computed full baseline of v at seq as the
 // maintained state and materializes the close-link mini-engine from it. The
 // baseline must have been computed with this maintainer's threshold and
-// engine options (reasonapi reuses its /v1/whatif baseline cache here, so
-// one full chase serves both). A seed never regresses: when the maintainer
-// already holds valid state at seq or later (a commit advanced it while
-// this baseline was being computed), the stale seed is dropped.
-func (m *Maintainer) Seed(ctx context.Context, v pg.View, seq uint64, bl *whatif.Baseline) error {
+// engine options (reasonapi seeds it with the full chase a /v1/whatif miss
+// ran, so one chase serves both). roots is what Roots returned before v was
+// pinned: a seed from a history replaced since is dropped. A seed never
+// regresses either: when the maintainer already holds valid state at seq
+// or later (a commit advanced it while this baseline was being computed),
+// the stale seed is dropped. Queued journals up to seq are discarded — the
+// seed already reflects them.
+func (m *Maintainer) Seed(ctx context.Context, v pg.View, seq, roots uint64, bl *whatif.Baseline) error {
 	if bl.Threshold != m.threshold {
 		return fmt.Errorf("ivm: baseline threshold %v does not match maintainer %v", bl.Threshold, m.threshold)
 	}
@@ -144,11 +239,15 @@ func (m *Maintainer) Seed(ctx context.Context, v pg.View, seq uint64, bl *whatif
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.valid && m.seq >= seq {
+	m.qmu.Lock()
+	defer m.qmu.Unlock()
+	if roots != m.roots || (m.valid && m.root == roots && m.seq >= seq) {
 		return nil
 	}
+	m.takeThrough(seq)
 	m.valid = true
 	m.seq = seq
+	m.root = roots
 	m.bl = bl
 	m.cl = cl
 	m.stats.FullRebuilds++
@@ -201,14 +300,13 @@ func (m *Maintainer) Baseline(seq uint64, threshold float64) *whatif.Baseline {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.valid || m.seq != seq || threshold != m.threshold {
+	if !m.valid || m.seq != seq || threshold != m.threshold || m.root != m.Roots() {
 		return nil
 	}
 	return m.bl
 }
 
-// Invalidate discards the maintained state (e.g. after a follower snapshot
-// bootstrap replaced the graph wholesale).
+// Invalidate discards the maintained state.
 func (m *Maintainer) Invalidate() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -232,26 +330,21 @@ func (m *Maintainer) Stats() Stats {
 	return m.stats
 }
 
-// Seq reports the sequence the maintained state corresponds to; ok is false
-// when the maintainer is invalid.
-func (m *Maintainer) Seq() (uint64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.seq, m.valid
-}
-
 // Apply advances the maintained state from fromSeq to toSeq under one
 // committed journal. post must be the post-commit view and muts the exact,
 // ordered mutations that produced it from the state at fromSeq — the
-// leader's commit hook and the follower's frame observer both guarantee
-// that by construction. A fromSeq that does not match the maintained
-// sequence means a journal was missed (e.g. a commit landed between a full
-// baseline chase and its Seed); the maintainer invalidates itself rather
+// version chain's commit journals guarantee that by construction. A fromSeq
+// that does not match the maintained sequence means a journal was missed
+// (e.g. the queue overflowed); the maintainer invalidates itself rather
 // than silently diverge. On any error the maintainer invalidates itself and
 // the caller must fall back to a full baseline.
 func (m *Maintainer) Apply(ctx context.Context, post pg.View, fromSeq, toSeq uint64, muts []pg.Mutation) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.applyLocked(ctx, post, fromSeq, toSeq, muts)
+}
+
+func (m *Maintainer) applyLocked(ctx context.Context, post pg.View, fromSeq, toSeq uint64, muts []pg.Mutation) error {
 	if !m.valid {
 		return ErrInvalid
 	}

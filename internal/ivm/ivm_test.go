@@ -12,15 +12,13 @@ import (
 )
 
 // driver wires a Maintainer onto a Versioned store exactly the way the
-// serving layer does: Init from version 0, commit hook feeds every journal.
+// serving layer does on every role: Init from the root version, the commit
+// hook queues every journal, and reads drain the queue up to the version
+// they pinned.
 type driver struct {
 	t  *testing.T
 	vs *store.Versioned
 	m  *Maintainer
-	// applyErrs records maintenance errors; the incremental path is allowed
-	// to fail (callers fall back to full recompute) but tests that expect it
-	// to work assert this stays empty.
-	applyErrs []error
 }
 
 func newDriver(t *testing.T, g *pg.Graph, threshold float64) *driver {
@@ -30,12 +28,16 @@ func newDriver(t *testing.T, g *pg.Graph, threshold float64) *driver {
 	if err := d.m.Init(context.Background(), cur.View(), cur.Seq()); err != nil {
 		t.Fatalf("Init: %v", err)
 	}
-	d.vs.SetCommitHook(func(next *store.Version, journal []pg.Mutation) {
-		if err := d.m.Apply(context.Background(), next.View(), next.Seq()-1, next.Seq(), journal); err != nil {
-			d.applyErrs = append(d.applyErrs, err)
-		}
-	})
+	d.vs.SetCommitHook(d.m.OnCommit)
 	return d
+}
+
+// pinned drains the queue up to the current version and returns the
+// maintained baseline there (nil when the maintainer lost it).
+func (d *driver) pinned() *whatif.Baseline {
+	cur := d.vs.Current()
+	d.m.Drain(context.Background(), cur.View(), cur.Seq())
+	return d.m.Baseline(cur.Seq(), d.m.Threshold())
 }
 
 // commit applies fn to a fresh transaction overlay and commits it.
@@ -54,10 +56,9 @@ func (d *driver) commit(fn func(o *pg.Overlay)) *store.Version {
 // failing the test if the maintainer lost it.
 func (d *driver) maintained() *whatif.Baseline {
 	d.t.Helper()
-	cur := d.vs.Current()
-	bl := d.m.Baseline(cur.Seq(), d.m.Threshold())
+	bl := d.pinned()
 	if bl == nil {
-		d.t.Fatalf("maintainer has no baseline at seq %d (errors: %v)", cur.Seq(), d.applyErrs)
+		d.t.Fatalf("maintainer has no baseline at seq %d (stats %+v)", d.vs.Current().Seq(), d.m.Stats())
 	}
 	return bl
 }
@@ -150,9 +151,6 @@ func TestIncrementalEdgeAdd(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if len(d.applyErrs) > 0 {
-		t.Fatalf("incremental apply failed: %v", d.applyErrs)
-	}
 	bl := d.maintained()
 	for _, p := range []whatif.Pair{{a, b}, {b, c}, {a, c}} {
 		if !bl.Control[p] {
@@ -194,9 +192,6 @@ func TestIncrementalEdgeRemoveAndReweight(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if len(d.applyErrs) > 0 {
-		t.Fatalf("incremental apply failed: %v", d.applyErrs)
-	}
 	bl := d.maintained()
 	if bl.Control[whatif.Pair{b, c}] || bl.Control[whatif.Pair{a, c}] {
 		t.Errorf("control survived reweight to 0.3: %v", bl.Control)
@@ -212,9 +207,6 @@ func TestIncrementalEdgeRemoveAndReweight(t *testing.T) {
 			t.Fatal("RemoveEdge returned false")
 		}
 	})
-	if len(d.applyErrs) > 0 {
-		t.Fatalf("incremental apply failed: %v", d.applyErrs)
-	}
 	bl = d.maintained()
 	if bl.CloseLink[canonical(whatif.Pair{b, c})] {
 		t.Errorf("closelink(b,c) survived edge removal: %v", bl.CloseLink)
@@ -238,9 +230,6 @@ func TestIncrementalNodeRemove(t *testing.T) {
 			t.Fatal("RemoveNode returned false")
 		}
 	})
-	if len(d.applyErrs) > 0 {
-		t.Fatalf("incremental apply failed: %v", d.applyErrs)
-	}
 	bl := d.maintained()
 	if len(bl.Control) != 0 || len(bl.CloseLink) != 0 {
 		t.Errorf("derived state survived removing the middle node: control=%v closelink=%v",
@@ -259,9 +248,7 @@ func TestIrrelevantCommitSkips(t *testing.T) {
 		p2 := o.AddNode(pg.LabelPerson, pg.Properties{"name": "P2"})
 		o.MustAddEdge(pg.LabelPartnerOf, p1, p2, nil)
 	})
-	if len(d.applyErrs) > 0 {
-		t.Fatalf("apply failed: %v", d.applyErrs)
-	}
+	d.maintained() // maintenance runs when a read drains the queue
 	st := d.m.Stats()
 	if st.SkippedCommits != 1 || st.IncrementalCommits != 0 {
 		t.Errorf("stats = %+v, want exactly one skipped commit", st)
@@ -296,9 +283,48 @@ func TestSeedRejectsThresholdMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New(whatif.DefaultThreshold)
-	if err := m.Seed(ctx, g, 0, bl); err == nil {
+	if err := m.Seed(ctx, g, 0, m.Roots(), bl); err == nil {
 		t.Fatal("Seed accepted a baseline at a different threshold")
 	}
+}
+
+// A new root (a replica's snapshot bootstrap) drops the maintained state,
+// and a baseline computed over the replaced history cannot seed it — even
+// at a seq the new root reuses.
+func TestNewRootDropsReplacedHistory(t *testing.T) {
+	g, _ := chainGraph()
+	d := newDriver(t, g, whatif.DefaultThreshold)
+	ctx := context.Background()
+	old := d.vs.Current()
+	roots := d.m.Roots()
+	stale, err := whatif.ComputeBaseline(ctx, old.View(), d.m.Threshold())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.vs.Reset(pg.New(), old.Seq(), nil); err != nil {
+		t.Fatal(err)
+	}
+	cur := d.vs.Current()
+	if d.pinned() != nil {
+		t.Fatal("maintainer served the replaced history at the new root")
+	}
+	if err := d.m.Seed(ctx, old.View(), old.Seq(), roots, stale); err != nil {
+		t.Fatal(err)
+	}
+	if d.pinned() != nil {
+		t.Fatal("a seed from the replaced history was accepted")
+	}
+	if err := d.m.Init(ctx, cur.View(), cur.Seq()); err != nil {
+		t.Fatal(err)
+	}
+	d.commit(func(o *pg.Overlay) {
+		a := o.AddNode(pg.LabelCompany, nil)
+		b := o.AddNode(pg.LabelCompany, nil)
+		if _, err := o.AddShare(a, b, 0.7); err != nil {
+			t.Fatal(err)
+		}
+	})
+	checkAgainstOracle(t, "after new root", d.maintained(), d.oracle())
 }
 
 func TestInvalidateAndReseed(t *testing.T) {

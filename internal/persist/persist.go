@@ -91,7 +91,7 @@ type Stats struct {
 //
 // Concurrency: Append capture is internally serialized, but the graph
 // itself keeps pg's rules — one mutator at a time. Snapshot must not run
-// concurrently with mutations (hold your write lock around it, as
+// concurrently with mutations (run it under store.Versioned.Exclusive, as
 // reasonapi does).
 type Store struct {
 	mu   sync.Mutex
@@ -121,6 +121,9 @@ type Store struct {
 
 	snapshots int64
 	capErr    error // first record-capture failure (sticky, surfaced by Sync)
+
+	// observers see every captured mutation after it is logged (OnCapture).
+	observers []func(pg.Mutation)
 }
 
 // EpochMark records the opening of one replication epoch: a leader that
@@ -268,7 +271,15 @@ func (s *Store) capture(m pg.Mutation) {
 		}
 		s.mu.Unlock()
 	}
+	for _, fn := range s.observers {
+		fn(m)
+	}
 }
+
+// OnCapture registers an observer of every mutation the store logs, called
+// right after the record is appended (Seq already counts it). Call before
+// the graph is mutated.
+func (s *Store) OnCapture(fn func(pg.Mutation)) { s.observers = append(s.observers, fn) }
 
 // Graph returns the recovered, change-captured graph. Mutate it under the
 // same discipline as any pg.Graph; call Sync before acknowledging.
@@ -347,8 +358,10 @@ func (s *Store) rotateLocked() (int64, error) {
 // replication snapshot bootstrap: a replica that lagged past the leader's
 // log truncation (or diverged ahead of a restarted leader) adopts the
 // leader's snapshot and resumes tailing from its sequence number. The caller
-// must exclude concurrent mutations and readers for the duration (hold the
-// serving tier's write lock), and must stop using the previous Graph().
+// must exclude concurrent mutations and readers of the old graph for the
+// duration (the follower does both by swapping under the commit lock of its
+// version chain, whose readers hold published clones), and must stop using
+// the previous Graph().
 func (s *Store) ReplaceGraph(g *pg.Graph) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -316,12 +316,12 @@ func recordFor(m pg.Mutation) (Record, error) {
 // every shipped frame through it, so a stream applied out of order — or to
 // a replica that silently diverged — fails loudly instead of weaving a
 // graph the leader never had.
-func Apply(g *pg.Graph, r Record) error { return apply(g, r) }
+func Apply(g pg.Mutable, r Record) error { return apply(g, r) }
 
 // apply replays one record onto g, asserting that the graph assigns the
 // identifiers the record claims. A mismatch means the log does not belong to
 // this base state — corrupt, refuse.
-func apply(g *pg.Graph, r Record) error {
+func apply(g pg.Mutable, r Record) error {
 	switch r.Op {
 	case OpAddNode:
 		id := g.AddNode(pg.Label(r.Label), r.Props)

@@ -256,7 +256,14 @@ func (g *Graph) SetEdgeWeight(id EdgeID, w float64) error {
 	if w <= 0 || w > 1 {
 		return fmt.Errorf("pg: set edge weight: weight %v outside (0, 1]", w)
 	}
-	e.Props[WeightProp] = w
+	// A fresh map rather than an in-place edit: a CloneShared copy of this
+	// graph still holds the old one.
+	props := make(Properties, len(e.Props))
+	for k, v := range e.Props {
+		props[k] = v
+	}
+	props[WeightProp] = w
+	e.Props = props
 	g.weightEdits++
 	if g.onMutate != nil {
 		g.onMutate(Mutation{Kind: MutSetEdgeWeight, Edge: e})
@@ -422,24 +429,30 @@ func (g *Graph) Neighborhood(center NodeID, hops int) (*Graph, map[NodeID]NodeID
 // immutable scalars). Index and adjacency slices are copied verbatim, so the
 // clone preserves the original's insertion orders — NodesWithLabel, Out and
 // friends read identically on graph and clone, which MVCC snapshots rely on.
-func (g *Graph) Clone() *Graph {
+func (g *Graph) Clone() *Graph { return g.clone(true) }
+
+// CloneShared is Clone without copying the property maps: the copy shares
+// them with g, which makes it about a fifth of the size. That is safe as long
+// as nobody edits a stored map in place. The graph's own mutators never do
+// (SetEdgeWeight swaps in a fresh map), so the version store publishes its
+// frozen read copies of a live master this way.
+func (g *Graph) CloneShared() *Graph { return g.clone(false) }
+
+func (g *Graph) clone(deep bool) *Graph {
 	c := New()
 	c.nextNode = g.nextNode
 	c.nextEdge = g.nextEdge
 	c.weightEdits = g.weightEdits
-	for id, n := range g.nodes {
-		props := make(Properties, len(n.Props))
-		for k, v := range n.Props {
-			props[k] = v
-		}
-		c.nodes[id] = &Node{ID: id, Label: n.Label, Props: props}
+	// Copy in ID order: readers walk nodes and edges by ID, and a copy
+	// allocated in map order scatters them across the heap, which slows a
+	// full fact extraction over the clone by about a third.
+	for _, id := range g.Nodes() {
+		n := g.nodes[id]
+		c.nodes[id] = &Node{ID: id, Label: n.Label, Props: copyProps(n.Props, deep)}
 	}
-	for id, e := range g.edges {
-		props := make(Properties, len(e.Props))
-		for k, v := range e.Props {
-			props[k] = v
-		}
-		c.edges[id] = &Edge{ID: id, Label: e.Label, From: e.From, To: e.To, Props: props}
+	for _, id := range g.Edges() {
+		e := g.edges[id]
+		c.edges[id] = &Edge{ID: id, Label: e.Label, From: e.From, To: e.To, Props: copyProps(e.Props, deep)}
 	}
 	for label, ids := range g.byNodeLabel {
 		c.byNodeLabel[label] = append([]NodeID(nil), ids...)
@@ -452,6 +465,17 @@ func (g *Graph) Clone() *Graph {
 	}
 	for id, ids := range g.in {
 		c.in[id] = append([]EdgeID(nil), ids...)
+	}
+	return c
+}
+
+func copyProps(p Properties, deep bool) Properties {
+	if !deep {
+		return p
+	}
+	c := make(Properties, len(p))
+	for k, v := range p {
+		c[k] = v
 	}
 	return c
 }

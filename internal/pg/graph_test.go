@@ -139,6 +139,24 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// A CloneShared copy shares property maps with its original, so it must
+// stay frozen when the original edits a weight.
+func TestCloneSharedStaysFrozen(t *testing.T) {
+	g, _ := Figure1()
+	id := g.EdgesWithLabel(LabelShareholding)[0]
+	w0, _ := g.Edge(id).Weight()
+	c := g.CloneShared()
+	if err := g.SetEdgeWeight(id, 0.99); err != nil {
+		t.Fatal(err)
+	}
+	if w, _ := c.Edge(id).Weight(); w != w0 {
+		t.Errorf("shared clone sees weight %v after the original's edit, want %v", w, w0)
+	}
+	if w, _ := g.Edge(id).Weight(); w != 0.99 {
+		t.Errorf("original weight %v after edit, want 0.99", w)
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	g, _ := Figure2()
 	var buf bytes.Buffer

@@ -53,10 +53,11 @@ type View interface {
 	NextEdgeID() EdgeID
 }
 
-// Mutable is a property graph that accepts the three committed mutation
-// kinds. *Graph and *Overlay satisfy it; the KG-augmentation loop writes
-// through this interface so a whole augment can run against an overlay
-// transaction instead of the base graph.
+// Mutable is a property graph that accepts every committed mutation kind.
+// *Graph and *Overlay satisfy it; the KG-augmentation loop writes through
+// this interface so a whole augment can run against an overlay transaction
+// instead of the base graph, and WAL records and commit journals replay
+// through it onto either.
 type Mutable interface {
 	View
 	// AddNode inserts a node and returns its ID.
@@ -67,6 +68,11 @@ type Mutable interface {
 	MustAddEdge(label Label, from, to NodeID, props Properties) EdgeID
 	// RemoveEdge deletes an edge, reporting whether it existed.
 	RemoveEdge(id EdgeID) bool
+	// SetEdgeWeight edits a shareholding edge's weight.
+	SetEdgeWeight(id EdgeID, w float64) error
+	// RemoveNode deletes a node and its incident edges, reporting whether
+	// it existed.
+	RemoveNode(id NodeID) bool
 }
 
 var (

@@ -7,9 +7,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"vadalink/internal/faultinject"
 	"vadalink/internal/persist"
 	"vadalink/internal/pg"
 	"vadalink/internal/replication"
@@ -48,7 +50,7 @@ func replicatedPair(t *testing.T, cfg Config) (*persist.Store, *replication.Foll
 	if cfg.Leader == nil {
 		cfg.Leader = ld
 	}
-	api := NewServerWith(nil, cfg) // wires lock + graph tracking before Run
+	api := NewServerWith(nil, cfg) // hooks onto the follower's chain before Run
 	flDone := make(chan struct{})
 	go func() {
 		defer close(flDone)
@@ -185,6 +187,88 @@ func TestServeStartsDrainOnCancel(t *testing.T) {
 // End-to-end follower serving: reads work and carry replication headers,
 // writes are redirected to the leader, metrics and readyz report the
 // replica's position.
+// A what-if parked inside its chase must not stall replication: the
+// follower keeps committing frame groups and its seq advances while the
+// chase holds its pinned version, and reads keep answering from the newest
+// version.
+func TestFollowerWhatifDoesNotStallReplication(t *testing.T) {
+	st, fl, srv := replicatedPair(t, Config{MaxStaleness: time.Minute})
+	g := st.Graph()
+	a := g.AddNode(pg.LabelCompany, pg.Properties{"name": "A"})
+	b := g.AddNode(pg.LabelCompany, pg.Properties{"name": "B"})
+	g.MustAddEdgeWeighted(a, b, 0.6)
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	waitFollowerSeq(t, fl, st.Seq())
+	waitCond(t, "a fresh follower read", func() bool {
+		resp, err := http.Get(srv.URL + "/v1/stats")
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
+		return resp.StatusCode == 200
+	})
+
+	// Park the what-if's chase in its first round. The gate opens at the
+	// latest on cleanup, which runs before the server shuts down.
+	t.Cleanup(faultinject.Reset)
+	parked, gate := make(chan struct{}), make(chan struct{})
+	var parkOnce, openOnce sync.Once
+	open := func() { openOnce.Do(func() { close(gate) }) }
+	t.Cleanup(open)
+	faultinject.Set(faultinject.SiteDatalogRound, func() {
+		parkOnce.Do(func() { close(parked) })
+		<-gate
+	})
+	whatif := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/v1/whatif", "application/json",
+			strings.NewReader(`{"ops":[{"op":"addNode","name":"Hypothetical"}]}`))
+		if err != nil {
+			whatif <- -1
+			return
+		}
+		resp.Body.Close()
+		whatif <- resp.StatusCode
+	}()
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the what-if never reached its chase")
+	}
+
+	for i := 0; i < 20; i++ {
+		g.AddNode(pg.LabelCompany, nil)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	want := st.Seq()
+	deadline := time.Now().Add(5 * time.Second)
+	for fl.Seq() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower stalled at seq %d behind a parked what-if, leader at %d", fl.Seq(), want)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	// The seq moves during a group's replay, a moment before the version
+	// is published: poll the read until it shows the new nodes.
+	waitCond(t, "a read of the new version", func() bool {
+		var stats struct{ Nodes int }
+		return getJSON(t, srv.URL+"/v1/stats", &stats) == 200 && stats.Nodes == 22
+	})
+	select {
+	case code := <-whatif:
+		t.Fatalf("what-if finished (%d) before its gate opened", code)
+	default:
+	}
+	open()
+	if code := <-whatif; code != 200 {
+		t.Fatalf("parked what-if finished with status %d, want 200", code)
+	}
+}
+
 func TestFollowerServesReadsRedirectsWrites(t *testing.T) {
 	st, fl, srv := replicatedPair(t, Config{
 		LeaderAPI:    "http://leader.example:8080",

@@ -109,8 +109,9 @@ func TestMinAggDeltaGovernsCyclicChase(t *testing.T) {
 
 // TestCommitsMaintainWhatifBaseline exercises the serving-tier loop: the
 // first what-if seeds the maintainer, committed shareholding mutations are
-// maintained incrementally (no full re-chase), irrelevant commits are
-// skipped, and /v1/metrics reports the counters.
+// queued by the commit hook and maintained incrementally when a read drains
+// them (no full re-chase), irrelevant commits are skipped, and /v1/metrics
+// reports the counters.
 func TestCommitsMaintainWhatifBaseline(t *testing.T) {
 	srv, s, alpha, beta := acquisitionServer(t)
 	ctx := context.Background()
@@ -134,9 +135,13 @@ func TestCommitsMaintainWhatifBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st := s.ivmM.Stats(); st.IncrementalCommits != 0 {
+		t.Fatalf("commit hook ran maintenance itself: stats = %+v, want it queued", st)
+	}
+	s.ivmM.Drain(ctx, ver.View(), ver.Seq())
 	st := s.ivmM.Stats()
 	if st.IncrementalCommits != 1 || st.FullRebuilds != 1 {
-		t.Fatalf("after commit: stats = %+v, want 1 incremental commit, still 1 full rebuild", st)
+		t.Fatalf("after drain: stats = %+v, want 1 incremental commit, still 1 full rebuild", st)
 	}
 	bl := s.ivmM.Baseline(ver.Seq(), whatif.DefaultThreshold)
 	if bl == nil {
@@ -167,14 +172,23 @@ func TestCommitsMaintainWhatifBaseline(t *testing.T) {
 		t.Fatalf("whatif after commit re-chased: stats = %+v", st)
 	}
 
-	// An augmentation run commits only derived-link edges — the maintainer
-	// skips it without any chase.
+	// An augmentation run commits only derived-link edges (here none: an
+	// empty commit publishes nothing), and a person node cannot move the
+	// ownership relations either — the maintainer skips it without any
+	// chase.
 	if resp, raw := postJSON(t, srv.URL+"/v1/augment", `{"classes":["family"],"noCluster":true}`); resp.StatusCode != 200 {
 		t.Fatalf("augment status %d: %v", resp.StatusCode, raw)
 	}
+	txn = s.vs.Begin()
+	txn.Overlay().AddNode(pg.LabelPerson, pg.Properties{"name": "Bystander"})
+	cur, err := txn.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ivmM.Drain(ctx, cur.View(), cur.Seq())
 	st = s.ivmM.Stats()
 	if st.SkippedCommits == 0 {
-		t.Fatalf("augment commit was not skipped: %+v", st)
+		t.Fatalf("irrelevant commit was not skipped: %+v", st)
 	}
 
 	// Metrics surface the counter set.

@@ -7,22 +7,32 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"vadalink/internal/faultinject"
+	"vadalink/internal/graphgen"
+	"vadalink/internal/persist"
+	"vadalink/internal/pg"
 	"vadalink/internal/replication"
 )
 
-// startAPINode spins up one replica-group member (listener, Serve, Run) and
-// a reasonapi server in node mode on top of it.
+// startAPINode spins up one replica-group member (listener, Serve, Run) on
+// a fresh data dir and a reasonapi server in node mode on top of it.
 func startAPINode(t *testing.T, peers func() []string, cfg Config) (*replication.Node, *httptest.Server, string) {
+	return startAPINodeIn(t, t.TempDir(), peers, cfg)
+}
+
+// startAPINodeIn is startAPINode over an existing data dir.
+func startAPINodeIn(t *testing.T, dir string, peers func() []string, cfg Config) (*replication.Node, *httptest.Server, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	node, err := replication.OpenNode(t.TempDir(), replication.NodeOptions{
+	node, err := replication.OpenNode(dir, replication.NodeOptions{
 		Self:      addr,
 		API:       "http://api-" + addr,
 		PeersFunc: peers,
@@ -156,5 +166,57 @@ func TestNodeModeFollowerRedirectsToLiveLeader(t *testing.T) {
 		if resp.Header.Get(h) == "" {
 			t.Fatalf("follower read missing %s header: %+v", h, resp.Header)
 		}
+	}
+}
+
+// A leader deposed while an augment runs sees the chain move under the run
+// (shipped frames commit on it); nothing of the run commits, and the client
+// is sent to the leader instead of getting a 500.
+func TestNodeModeAugmentLosingTheChainIsNotAcked(t *testing.T) {
+	dir := t.TempDir()
+	ps, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 30, Companies: 10, Seed: 3})
+	if err := ps.Import(it.Graph); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	node, srv, _ := startAPINodeIn(t, dir, func() []string { return nil }, Config{})
+	waitCond(t, "self-promotion", node.IsLeader)
+
+	t.Cleanup(faultinject.Reset)
+	parked, gate := make(chan struct{}), make(chan struct{})
+	var parkOnce, openOnce sync.Once
+	open := func() { openOnce.Do(func() { close(gate) }) }
+	t.Cleanup(open)
+	faultinject.Set(faultinject.SiteAugmentRound, func() {
+		parkOnce.Do(func() { close(parked) })
+		<-gate
+	})
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/v1/augment", "application/json",
+			strings.NewReader(`{"classes":["family"],"noCluster":true}`))
+		if err != nil {
+			status <- -1
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	<-parked
+	// What a frame group landing after a deposition does to the chain.
+	txn := node.Follower().Versions().Begin()
+	txn.Overlay().AddNode(pg.LabelCompany, pg.Properties{"name": "Shipped"})
+	if _, err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	open()
+	if code := <-status; code != http.StatusMisdirectedRequest {
+		t.Fatalf("augment whose chain moved = %d, want 421", code)
 	}
 }

@@ -25,22 +25,11 @@ import (
 )
 
 // viewSeq pins the read view for one request together with the sequence
-// number the view answers for. In MVCC mode both come from the same pinned
-// version, so they cannot disagree; in follower mode the sequence is the
-// follower's applied position, read under the same lock as the graph.
-func (s *Server) viewSeq() (pg.View, uint64, func()) {
-	if s.vs != nil {
-		ver := s.vs.Current()
-		return ver.View(), ver.Seq(), func() {}
-	}
-	s.mu.RLock()
-	var seq uint64
-	if fl := s.cfg.Follower; fl != nil {
-		if n := fl.Seq(); n > 0 {
-			seq = uint64(n)
-		}
-	}
-	return s.g, seq, s.mu.RUnlock
+// number the view answers for. Both come from the same pinned version, so
+// they cannot disagree; on a follower the seq is its WAL position.
+func (s *Server) viewSeq() (pg.View, uint64) {
+	ver := s.vs.Current()
+	return ver.View(), ver.Seq()
 }
 
 // servePoint answers one point query through the result cache: on a hit the
@@ -149,8 +138,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, datalog.WithBudget(b))
 	}
 
-	v, seq, release := s.viewSeq()
-	defer release()
+	v, seq := s.viewSeq()
 
 	key := queryKey(class, goal, progSrc, req.MaxFacts)
 	compute := func() ([]byte, error) {

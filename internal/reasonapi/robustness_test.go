@@ -15,6 +15,7 @@ import (
 
 	"vadalink/internal/faultinject"
 	"vadalink/internal/graphgen"
+	"vadalink/internal/persist"
 	"vadalink/internal/pg"
 )
 
@@ -223,123 +224,157 @@ func TestServeGracefulDrain(t *testing.T) {
 // TestConcurrentReadsDuringAugment is the satellite concurrency test: read
 // endpoints are hammered while /v1/augment mutates the graph, under -race.
 // A second concurrent augment must get an immediate 503 with Retry-After.
+// It runs on a standalone server and on a replica-group node that leads —
+// both write through the same version chain, so neither blocks a read.
 func TestConcurrentReadsDuringAugment(t *testing.T) {
-	it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 60, Companies: 20, Seed: 3})
-	srv := httptest.NewServer(NewServerWith(it.Graph, Config{Timeout: 30 * time.Second}).Handler())
-	defer srv.Close()
-	t.Cleanup(faultinject.Reset)
-
-	// Gate the first augmentation round so the busy window is deterministic,
-	// then pad later rounds so reads genuinely overlap the mutation.
-	gate := make(chan struct{})
-	var started sync.Once
-	startedc := make(chan struct{})
-	faultinject.Set(faultinject.SiteAugmentRound, func() {
-		started.Do(func() { close(startedc) })
-		<-gate
-		time.Sleep(2 * time.Millisecond)
-	})
-
-	nodes := it.Graph.Nodes()
-	augDone := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(srv.URL+"/v1/augment", "application/json",
-			strings.NewReader(`{"classes":["family"],"noCluster":true}`))
-		if err != nil {
-			augDone <- -1
-			return
-		}
-		resp.Body.Close()
-		augDone <- resp.StatusCode
-	}()
-
-	<-startedc // first augment is inside RunContext, holding the busy lock
-
-	// Concurrent augment: immediate 503 + Retry-After, no queueing.
-	resp, err := http.Post(srv.URL+"/v1/augment", "application/json",
-		strings.NewReader(`{"classes":["family"],"noCluster":true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("concurrent augment: status = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("503 without Retry-After header")
-	}
-
-	// The MVCC contract: while the augment is parked inside its first round
-	// (the gate is still closed), reads answer 200 from the pinned prior
-	// version instead of queueing behind the writer. A bounded client makes
-	// a regression fail fast instead of hanging the test.
-	quick := &http.Client{Timeout: 5 * time.Second}
-	for _, path := range []string{
-		"/v1/stats",
-		"/v1/closelinks",
-		"/v1/control?node=" + itoa(nodes[0]),
+	for _, tc := range []struct {
+		name  string
+		serve func(t *testing.T, g *pg.Graph) string // base URL
+	}{
+		{"standalone", func(t *testing.T, g *pg.Graph) string {
+			srv := httptest.NewServer(NewServerWith(g, Config{Timeout: 30 * time.Second}).Handler())
+			t.Cleanup(srv.Close)
+			return srv.URL
+		}},
+		{"replica-group leader", func(t *testing.T, g *pg.Graph) string {
+			dir := t.TempDir()
+			ps, err := persist.Open(dir, persist.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ps.Import(g); err != nil {
+				t.Fatal(err)
+			}
+			if err := ps.Close(); err != nil {
+				t.Fatal(err)
+			}
+			node, srv, _ := startAPINodeIn(t, dir, func() []string { return nil }, Config{Timeout: 30 * time.Second})
+			waitCond(t, "self-promotion", node.IsLeader)
+			return srv.URL
+		}},
 	} {
-		resp, err := quick.Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("read %s blocked behind the in-flight augment: %v", path, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Errorf("read %s during augment: status %d, want 200", path, resp.StatusCode)
-		}
-	}
-	// A counterfactual is a read too: it overlays the prior version and must
-	// not wait for the writer either.
-	wiresp, err := quick.Post(srv.URL+"/v1/whatif", "application/json",
-		strings.NewReader(`{"ops":[{"op":"addNode","name":"Hypothetical"}]}`))
-	if err != nil {
-		t.Fatalf("what-if blocked behind the in-flight augment: %v", err)
-	}
-	io.Copy(io.Discard, wiresp.Body)
-	wiresp.Body.Close()
-	if wiresp.StatusCode != 200 {
-		t.Errorf("what-if during augment: status %d, want 200", wiresp.StatusCode)
-	}
+		t.Run(tc.name, func(t *testing.T) {
+			it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 60, Companies: 20, Seed: 3})
+			nodes := it.Graph.Nodes()
+			base := tc.serve(t, it.Graph)
+			t.Cleanup(faultinject.Reset)
 
-	close(gate) // let the augmentation proceed while reads hammer it
+			// Gate the first augmentation round so the busy window is
+			// deterministic, then pad later rounds so reads genuinely overlap
+			// the mutation. The gate opens at the latest on cleanup, which
+			// runs before the server shuts down.
+			gate := make(chan struct{})
+			var opened sync.Once
+			open := func() { opened.Do(func() { close(gate) }) }
+			t.Cleanup(open)
+			var started sync.Once
+			startedc := make(chan struct{})
+			faultinject.Set(faultinject.SiteAugmentRound, func() {
+				started.Do(func() { close(startedc) })
+				<-gate
+				time.Sleep(2 * time.Millisecond)
+			})
+			augDone := make(chan int, 1)
+			go func() {
+				resp, err := http.Post(base+"/v1/augment", "application/json",
+					strings.NewReader(`{"classes":["family"],"noCluster":true}`))
+				if err != nil {
+					augDone <- -1
+					return
+				}
+				resp.Body.Close()
+				augDone <- resp.StatusCode
+			}()
 
-	var wg sync.WaitGroup
-	errs := make(chan string, 256)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				node := nodes[(w*20+i)%len(nodes)]
-				for _, path := range []string{
-					"/v1/control?node=" + itoa(node),
-					"/v1/closelinks",
-					"/v1/stats",
-				} {
-					resp, err := http.Get(srv.URL + path)
-					if err != nil {
-						errs <- err.Error()
-						continue
-					}
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != 200 {
-						errs <- fmt.Sprintf("%s: status %d", path, resp.StatusCode)
-					}
+			<-startedc // first augment is inside RunContext, holding the busy lock
+
+			// Concurrent augment: immediate 503 + Retry-After, no queueing.
+			resp, err := http.Post(base+"/v1/augment", "application/json",
+				strings.NewReader(`{"classes":["family"],"noCluster":true}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Errorf("concurrent augment: status = %d, want 503", resp.StatusCode)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Error("503 without Retry-After header")
+			}
+
+			// The MVCC contract: while the augment is parked inside its first round
+			// (the gate is still closed), reads answer 200 from the pinned prior
+			// version instead of queueing behind the writer. A bounded client makes
+			// a regression fail fast instead of hanging the test.
+			quick := &http.Client{Timeout: 5 * time.Second}
+			for _, path := range []string{
+				"/v1/stats",
+				"/v1/closelinks",
+				"/v1/control?node=" + itoa(nodes[0]),
+			} {
+				resp, err := quick.Get(base + path)
+				if err != nil {
+					t.Fatalf("read %s blocked behind the in-flight augment: %v", path, err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != 200 {
+					t.Errorf("read %s during augment: status %d, want 200", path, resp.StatusCode)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Errorf("concurrent read failed: %s", e)
-	}
+			// A counterfactual is a read too: it overlays the prior version and must
+			// not wait for the writer either.
+			wiresp, err := quick.Post(base+"/v1/whatif", "application/json",
+				strings.NewReader(`{"ops":[{"op":"addNode","name":"Hypothetical"}]}`))
+			if err != nil {
+				t.Fatalf("what-if blocked behind the in-flight augment: %v", err)
+			}
+			io.Copy(io.Discard, wiresp.Body)
+			wiresp.Body.Close()
+			if wiresp.StatusCode != 200 {
+				t.Errorf("what-if during augment: status %d, want 200", wiresp.StatusCode)
+			}
 
-	if code := <-augDone; code != 200 {
-		t.Errorf("gated augment finished with status %d, want 200", code)
+			open() // let the augmentation proceed while reads hammer it
+
+			var wg sync.WaitGroup
+			errs := make(chan string, 256)
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 20; i++ {
+						node := nodes[(w*20+i)%len(nodes)]
+						for _, path := range []string{
+							"/v1/control?node=" + itoa(node),
+							"/v1/closelinks",
+							"/v1/stats",
+						} {
+							resp, err := http.Get(base + path)
+							if err != nil {
+								errs <- err.Error()
+								continue
+							}
+							io.Copy(io.Discard, resp.Body)
+							resp.Body.Close()
+							if resp.StatusCode != 200 {
+								errs <- fmt.Sprintf("%s: status %d", path, resp.StatusCode)
+							}
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for e := range errs {
+				t.Errorf("concurrent read failed: %s", e)
+			}
+
+			if code := <-augDone; code != 200 {
+				t.Errorf("gated augment finished with status %d, want 200", code)
+			}
+		})
 	}
 }
 

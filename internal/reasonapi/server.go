@@ -31,15 +31,14 @@
 // commits invalidate which entries — write traffic that cannot move the
 // derived relations keeps hot point answers alive.
 //
-// Reads are MVCC snapshots: the graph is published through a store.Versioned
-// chain of immutable versions, read handlers pin the current version without
-// taking any lock, and /v1/augment builds the successor in a copy-on-write
-// overlay transaction — an in-flight augmentation never blocks a read, and a
-// reader never observes a half-applied mutation. /v1/whatif layers a further
-// private overlay on the pinned version, so counterfactuals touch neither
-// the published chain nor the WAL. Follower mode keeps the locked read path:
-// there the replication stream rewrites the graph in place under the write
-// lock.
+// Reads are MVCC snapshots on every role: the graph is published through a
+// store.Versioned chain of immutable versions, read handlers pin the current
+// version without taking any lock, and writes — /v1/augment on a leader,
+// shipped frame groups on a follower — build the successor in a
+// copy-on-write overlay transaction. An in-flight augmentation or frame
+// group never blocks a read, and a reader never observes a half-applied
+// mutation. /v1/whatif layers a further private overlay on the pinned
+// version, so counterfactuals touch neither the published chain nor the WAL.
 //
 // Every request runs under a wall-clock deadline (Config.Timeout) and the
 // chase-backed endpoints under a resource Budget; when a limit trips, the
@@ -86,10 +85,6 @@ import (
 // DefaultTimeout is the per-request wall-clock budget when Config.Timeout
 // is zero.
 const DefaultTimeout = 30 * time.Second
-
-// ivmQueueCap bounds the follower's pending-maintenance journal; beyond it
-// a full rebuild on next read beats replaying the backlog.
-const ivmQueueCap = 1 << 16
 
 // Config tunes the resource governance of the reasoning API.
 type Config struct {
@@ -154,12 +149,13 @@ type Config struct {
 	// memory-only.
 	Persist *persist.Store
 
-	// Follower puts the server in read-only replica mode: reads are served
-	// from the follower's graph (with replication lag and staleness
-	// headers), writes are rejected with a typed redirect-to-leader error,
-	// and reads staler than MaxStaleness get 503 + Retry-After. The server
-	// wires its own read lock and graph pointer into the follower at
-	// construction; callers only need to Run it.
+	// Follower puts the server in read-only replica mode: reads pin the
+	// follower's version chain (Follower.Versions), stamped with replication
+	// lag and staleness headers; writes are rejected with a typed
+	// redirect-to-leader error, and reads staler than MaxStaleness get 503 +
+	// Retry-After. The server hangs its view maintenance and cache
+	// invalidation on the chain's commit hook at construction, so build it
+	// before the follower Runs.
 	Follower *replication.Follower
 
 	// LeaderAPI is the leader's API base address ("host:port" or URL)
@@ -187,10 +183,12 @@ type Config struct {
 	// epoch; while it follows, writes get 421 not_leader carrying the
 	// CURRENT leader's API address (learned from the stream handshake, not
 	// from static configuration), and reads are served with the staleness
-	// gating of follower mode. Node supersedes Follower/Leader: the server
-	// wires the node's own follower and leader halves, and any explicitly
-	// set Follower is ignored. LeaderAPI remains the static fallback hint
-	// for 421 envelopes when the group has no known leader yet.
+	// gating of follower mode. Either way the server reads and writes
+	// through the version chain of the node's follower half, exactly as in
+	// follower mode. Node supersedes Follower/Leader: the server wires the
+	// node's own follower and leader halves, and any explicitly set Follower
+	// is ignored. LeaderAPI remains the static fallback hint for 421
+	// envelopes when the group has no known leader yet.
 	Node *replication.Node
 }
 
@@ -240,14 +238,12 @@ func (c Config) minAggDelta() float64 {
 
 // Server serves the reasoning API over a company graph.
 type Server struct {
-	mu  sync.RWMutex
-	g   *pg.Graph
 	cfg Config
 
-	// vs is the MVCC version chain in leader/standalone mode: reads pin
-	// Current() lock-free, /v1/augment commits overlay transactions against
-	// it, and s.g stays the private writer master the WAL hook hangs on.
-	// nil in follower mode, where reads stay under mu.
+	// vs is the MVCC version chain every request reads and writes through:
+	// reads pin Current() lock-free, /v1/augment commits overlay
+	// transactions against it. Standalone servers build it over the graph
+	// they are given; followers and replica-group nodes use the follower's.
 	vs *store.Versioned
 
 	// blCache holds the what-if baseline of one (version, threshold) pair;
@@ -262,17 +258,13 @@ type Server struct {
 	qc *qcache.Cache
 
 	// ivmM maintains the derived ownership baseline incrementally across
-	// commits (leader: fed by the store's commit hook; follower: fed lazily
-	// from the queued replication journal). nil when Config.DisableIVM.
+	// commits: the chain's commit hook queues each journal, and the next
+	// baseline request drains the queue up to its pinned version. nil when
+	// Config.DisableIVM.
 	ivmM *ivm.Maintainer
-	// ivmQ buffers follower-observed mutations until a read drains them
-	// into the maintainer — frames apply under the write lock, where running
-	// a maintenance chase would stall the replication stream.
-	ivmQMu sync.Mutex
-	ivmQ   []pg.Mutation
 
 	// augMu serializes /v1/augment; TryLock turns contention into 503
-	// instead of an unbounded queue on mu.
+	// instead of an unbounded queue.
 	augMu sync.Mutex
 
 	// activeMut counts in-flight graph mutations (augment runs, admin
@@ -300,14 +292,14 @@ type Server struct {
 func NewServer(g *pg.Graph) *Server { return NewServerWith(g, Config{}) }
 
 // NewServerWith wraps a graph with explicit resource governance. In
-// follower mode (cfg.Follower set) g may be nil — the server serves the
-// follower's recovered graph and tracks it across snapshot bootstraps.
+// follower and replica-group mode g may be nil — the server serves the
+// follower's version chain, which tracks snapshot bootstraps itself.
 func NewServerWith(g *pg.Graph, cfg Config) *Server {
 	if nd := cfg.Node; nd != nil {
-		// Replica-group mode reuses the whole follower wiring (read lock,
-		// bootstrap swap, IVM/cache invalidation) on the node's tailing
-		// half, and the leader half for stream metrics. The store is the
-		// node's own, so durability plumbing stays consistent too.
+		// Replica-group mode serves the node's tailing half's chain (the
+		// node writes through it too while it leads) and reports the leader
+		// half's stream metrics. The store is the node's own, so durability
+		// plumbing stays consistent too.
 		cfg.Follower = nd.Follower()
 		if cfg.Leader == nil {
 			cfg.Leader = nd.Leader()
@@ -316,101 +308,43 @@ func NewServerWith(g *pg.Graph, cfg Config) *Server {
 			cfg.Persist = nd.Store()
 		}
 	}
-	s := &Server{g: g, cfg: cfg}
+	s := &Server{cfg: cfg}
+	if fl := cfg.Follower; fl != nil {
+		s.vs = fl.Versions()
+	} else {
+		// Publish the graph as version 0. g stays the writer master —
+		// commits replay onto it, so a WAL capture hook set by persistence
+		// keeps seeing exactly the committed mutations.
+		s.vs = store.NewVersioned(g)
+	}
 	if !cfg.DisableIVM {
 		s.ivmM = ivm.New(whatif.DefaultThreshold, s.engineOptions()...)
+		s.vs.AddCommitHook(s.ivmM.OnCommit)
 	}
 	if cfg.QueryCacheBytes >= 0 {
 		s.qc = qcache.New(cfg.QueryCacheBytes)
 	}
-	if fl := cfg.Follower; fl != nil {
-		if s.g == nil {
-			s.g = fl.Graph()
-		}
-		// Frames apply under the server's write lock, so readers never see
-		// a half-applied mutation; a bootstrap re-points the served graph
-		// inside the same critical section.
-		fl.SetLock(&s.mu)
-		fl.OnSwap(func(ng *pg.Graph) {
-			s.g = ng
+	// Every commit is classified once by the shared IVM relevance rules:
+	// irrelevant commits leave the derived-class cache entries standing. No
+	// journal describes a new root (a replica's snapshot bootstrap), and the
+	// root may reuse a seq the replaced history already served, so it drops
+	// every seq-keyed answer.
+	s.vs.AddCommitHook(func(next *store.Version, journal []pg.Mutation) {
+		if journal == nil {
+			s.blCache.Store(nil)
 			if s.qc != nil {
-				// No journal describes a snapshot bootstrap: drop everything.
 				s.qc.Flush()
 			}
-			if s.ivmM != nil {
-				// A bootstrap replaced the graph wholesale; the journal the
-				// queue holds describes the old object.
-				s.ivmQMu.Lock()
-				s.ivmQ = nil
-				s.ivmQMu.Unlock()
-				s.ivmM.Invalidate()
-			}
-		})
-		if s.qc != nil {
-			// Invalidate cached point answers from the replication stream,
-			// classified exactly like leader-side commits: a frame that cannot
-			// move the derived relations keeps derived entries alive.
-			fl.OnMutation(func(mut pg.Mutation) {
-				s.qc.OnCommit(uint64(fl.Seq()), ivm.RelevantMutations([]pg.Mutation{mut}))
-			})
-		}
-		if s.ivmM != nil {
-			// Enqueue only: the observer runs under the write lock, where a
-			// maintenance chase would stall frame application. The next read
-			// drains the queue (see followerBaselineLocked). A runaway queue
-			// (no reads at the maintained threshold for a long stretch of
-			// writes) is cheaper to rebuild than to replay, so it drops.
-			fl.OnMutation(func(mut pg.Mutation) {
-				s.ivmQMu.Lock()
-				s.ivmQ = append(s.ivmQ, mut)
-				drop := len(s.ivmQ) > ivmQueueCap
-				if drop {
-					s.ivmQ = nil
-				}
-				s.ivmQMu.Unlock()
-				if drop {
-					s.ivmM.Invalidate()
-				}
-			})
-		}
-		return s
-	}
-	// Leader/standalone: publish the graph as version 0 and serve reads from
-	// the immutable version chain. s.g remains the writer master — commits
-	// replay onto it, so a WAL capture hook set by persistence keeps seeing
-	// exactly the committed mutations.
-	s.vs = store.NewVersioned(g)
-	if s.ivmM != nil {
-		// Maintain derived state at commit time: the hook runs under the
-		// commit lock after the version is published, so maintenance sees
-		// commits in order, exactly once. Any maintenance error invalidates
-		// the maintainer and the next what-if falls back to a full chase.
-		s.vs.SetCommitHook(func(next *store.Version, journal []pg.Mutation) {
-			_ = s.ivmM.Apply(context.Background(), next.View(), next.Seq()-1, next.Seq(), journal)
-		})
-	}
-	if s.qc != nil {
-		// The cache invalidation composes with the maintenance hook above:
-		// every commit is classified once by the shared IVM relevance rules,
-		// and irrelevant commits leave the derived-class entries standing.
-		s.vs.AddCommitHook(func(next *store.Version, journal []pg.Mutation) {
+		} else if s.qc != nil {
 			s.qc.OnCommit(next.Seq(), ivm.RelevantMutations(journal))
-		})
-	}
+		}
+	})
 	return s
 }
 
-// view returns the read view for one request plus a release function. In
-// MVCC mode it pins the currently published immutable version — no lock, no
-// contention with an in-flight augment. In follower mode it takes the read
-// lock, because the replication stream mutates the served graph in place.
-func (s *Server) view() (pg.View, func()) {
-	if s.vs != nil {
-		return s.vs.Current().View(), func() {}
-	}
-	s.mu.RLock()
-	return s.g, s.mu.RUnlock
-}
+// view pins the currently published immutable version for one request —
+// no lock, no contention with an in-flight augment or frame group.
+func (s *Server) view() pg.View { return s.vs.Current().View() }
 
 // engineOptions is the budgeted engine configuration for request-triggered
 // chases. Stats collection is on so /v1/reason and /v1/metrics can report
@@ -670,7 +604,8 @@ func (s *Server) govern(next http.Handler) http.Handler {
 
 // handleAdminSnapshot forces a durable snapshot + WAL rotation:
 // POST /v1/admin/snapshot. It takes the same exclusive turn as /v1/augment,
-// so a snapshot never captures a half-applied augmentation.
+// and writes the snapshot under the chain's commit lock, so it never
+// captures a half-replayed commit.
 func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	ps := s.cfg.Persist
 	if ps == nil {
@@ -685,9 +620,11 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	defer s.augMu.Unlock()
 	s.activeMut.Add(1)
 	defer s.activeMut.Add(-1)
-	s.mu.Lock()
-	info, err := ps.Snapshot()
-	s.mu.Unlock()
+	var info persist.SnapshotInfo
+	err := s.vs.Exclusive(func() (err error) {
+		info, err = ps.Snapshot()
+		return err
+	})
 	if err != nil {
 		writeErr(w, r, http.StatusInternalServerError, "persist_failed", "snapshot failed: %v", err)
 		return
@@ -760,8 +697,7 @@ func truncMeta(err error) map[string]any {
 // the second argument, so only node's reverse ownership cone is derived
 // instead of running the control fixpoint from every person in the graph.
 func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.viewSeq()
-	defer release()
+	v, seq := s.viewSeq()
 	node, err := parseNode(v, r, "node")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
@@ -788,8 +724,7 @@ func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request) {
 // handleNeighborhood returns the ego network of a node as graph JSON:
 // GET /v1/neighborhood?node=ID&hops=2.
 func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
-	v, release := s.view()
-	defer release()
+	v := s.view()
 	node, err := parseNode(v, r, "node")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
@@ -812,8 +747,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 // handleExplain returns the derivation tree of a control decision — the §5
 // explainability property over HTTP: GET /v1/explain?from=ID&to=ID.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.viewSeq()
-	defer release()
+	v, seq := s.viewSeq()
 	from, err := parseNode(v, r, "from")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
@@ -903,8 +837,7 @@ func writeErr(w http.ResponseWriter, r *http.Request, status int, code string, f
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	v, release := s.view()
-	defer release()
+	v := s.view()
 	writeJSON(w, http.StatusOK, graphstats.Compute(v))
 }
 
@@ -929,8 +862,7 @@ func parseNode(v pg.View, r *http.Request, param string) (pg.NodeID, error) {
 // boolean (fully bound demand — only the derivation cone connecting the two
 // is explored). Both route through the goal engine and the result cache.
 func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.viewSeq()
-	defer release()
+	v, seq := s.viewSeq()
 	node, err := parseNode(v, r, "node")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
@@ -975,8 +907,7 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 // The response is the {"pairs": [{"from", "to"}, ...]} envelope — earlier
 // releases leaked a bare capitalized array on the success path; see API.md.
 func (s *Server) handleControlPairs(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.viewSeq()
-	defer release()
+	v, seq := s.viewSeq()
 	s.servePoint(w, r, seq, "control/pairs", qcache.ClassDerived, func() (map[string]any, error) {
 		pairs, runErr := control.AllPairsCtx(r.Context(), v)
 		out := make([]map[string]pg.NodeID, 0, len(pairs))
@@ -992,8 +923,7 @@ func (s *Server) handleControlPairs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.viewSeq()
-	defer release()
+	v, seq := s.viewSeq()
 	t := closelink.DefaultThreshold
 	if raw := r.URL.Query().Get("t"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
@@ -1032,8 +962,7 @@ func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
 // cyclic graphs are part of the endpoint's contract); the response rides the
 // result cache and carries the seq and X-Cache stamps like every point read.
 func (s *Server) handleAccumulated(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.viewSeq()
-	defer release()
+	v, seq := s.viewSeq()
 	from, err := parseNode(v, r, "from")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
@@ -1105,7 +1034,7 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// One mutation at a time: a second augment gets an immediate 503 with
-	// Retry-After instead of queueing on the write lock forever.
+	// Retry-After instead of queueing behind the first.
 	if !s.augMu.TryLock() {
 		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.retryAfterSeconds()))
 		writeErr(w, r, http.StatusServiceUnavailable, "busy", "augmentation already in progress; retry later")
@@ -1113,29 +1042,24 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.augMu.Unlock()
 	s.activeMut.Add(1)
-	var res *core.Result
-	if s.vs != nil {
-		// Run the augmentation on a copy-on-write overlay transaction:
-		// readers keep serving the published version untouched for the whole
-		// run. Commit replays the journal onto the writer master (where the
-		// WAL capture hook lives) and publishes the successor version; it
-		// runs even after an interrupted chase, because completed rounds are
-		// monotone and must persist. s.mu guards the master against a
-		// concurrent admin snapshot reading it mid-replay.
-		txn := s.vs.Begin()
-		res, err = aug.RunContext(r.Context(), txn.Overlay())
-		s.mu.Lock()
-		_, cerr := txn.Commit()
-		s.mu.Unlock()
-		if cerr != nil {
-			s.activeMut.Add(-1)
-			writeErr(w, r, http.StatusInternalServerError, "internal", "commit failed: %v", cerr)
+	// Run the augmentation on a copy-on-write overlay transaction: readers
+	// keep serving the published version untouched for the whole run.
+	// Commit replays the journal onto the writer master (where the WAL
+	// capture hook lives) and publishes the successor version; it runs even
+	// after an interrupted chase, because completed rounds are monotone and
+	// must persist.
+	txn := s.vs.Begin()
+	res, err := aug.RunContext(r.Context(), txn.Overlay())
+	if _, cerr := txn.Commit(); cerr != nil {
+		s.activeMut.Add(-1)
+		if errors.Is(cerr, store.ErrConflict) && s.cfg.Node != nil {
+			// Shipped frames or a bootstrap moved the node's chain under the
+			// run: the node was deposed, and nothing of the run committed.
+			s.writeCommitErr(w, r, replication.ErrNotLeader)
 			return
 		}
-	} else {
-		s.mu.Lock()
-		res, err = aug.RunContext(r.Context(), s.g)
-		s.mu.Unlock()
+		writeErr(w, r, http.StatusInternalServerError, "internal", "commit failed: %v", cerr)
+		return
 	}
 	// Durability before acknowledgement: whatever the run added (even the
 	// completed rounds of an interrupted run) must be in the WAL and synced
@@ -1200,75 +1124,39 @@ type baselineEntry struct {
 	bl        *whatif.Baseline
 }
 
-// baselineFor returns the what-if baseline of a published version. The
-// incrementally maintained baseline answers first (at the maintainer's
-// threshold it stays current across commits without any re-chase); the
-// single-entry cache covers other thresholds; a full chase is the fallback,
-// and its result re-seeds the maintainer so subsequent commits go back to
-// incremental maintenance.
-func (s *Server) baselineFor(ctx context.Context, ver *store.Version, threshold float64) (*whatif.Baseline, error) {
-	if m := s.ivmM; m != nil {
+// pinBaseline pins the current version and returns it with its what-if
+// baseline. At the maintainer's threshold the incrementally maintained
+// baseline answers: the maintainer drains its queued commit journals up to
+// the pinned version, so it stays current across commits without any
+// re-chase, and a full chase re-seeds it only when it has no valid state.
+// Other thresholds go through a single-entry cache of the last full chase.
+func (s *Server) pinBaseline(ctx context.Context, threshold float64) (*store.Version, *whatif.Baseline, error) {
+	if m := s.ivmM; m != nil && threshold == m.Threshold() {
+		roots := m.Roots() // before the pin: see ivm.Maintainer.Seed
+		ver := s.vs.Current()
+		m.Drain(ctx, ver.View(), ver.Seq())
 		if bl := m.Baseline(ver.Seq(), threshold); bl != nil {
-			return bl, nil
+			return ver, bl, nil
 		}
+		bl, err := whatif.ComputeBaseline(ctx, ver.View(), threshold, s.engineOptions()...)
+		if err != nil {
+			return nil, nil, err
+		}
+		// Best-effort: a seed older than the maintained state, or from a
+		// history a bootstrap replaced meanwhile, is dropped.
+		_ = m.Seed(ctx, ver.View(), ver.Seq(), roots, bl)
+		return ver, bl, nil
 	}
+	ver := s.vs.Current()
 	if e := s.blCache.Load(); e != nil && e.seq == ver.Seq() && e.threshold == threshold {
-		return e.bl, nil
+		return ver, e.bl, nil
 	}
 	bl, err := whatif.ComputeBaseline(ctx, ver.View(), threshold, s.engineOptions()...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.blCache.Store(&baselineEntry{seq: ver.Seq(), threshold: threshold, bl: bl})
-	if m := s.ivmM; m != nil && threshold == m.Threshold() {
-		// Best-effort: if a commit published a newer version while this
-		// baseline was being chased, the seed is stale — Seed drops it and
-		// the commit hook's gap check keeps the maintainer honest.
-		_ = m.Seed(ctx, ver.View(), ver.Seq(), bl)
-	}
-	return bl, nil
-}
-
-// followerBaselineLocked returns the baseline for the follower's current
-// graph, maintained incrementally from the queued replication journal.
-// Callers must hold s.mu.RLock (or stronger): that excludes frame
-// application, so the queue and the graph cannot advance mid-drain; the
-// queue mutex serializes concurrent readers draining at once.
-func (s *Server) followerBaselineLocked(ctx context.Context, threshold float64) (*whatif.Baseline, error) {
-	m := s.ivmM
-	if m == nil {
-		return whatif.ComputeBaseline(ctx, s.g, threshold, s.engineOptions()...)
-	}
-	curSeq := uint64(s.cfg.Follower.Seq())
-	s.ivmQMu.Lock()
-	if pending := s.ivmQ; len(pending) > 0 {
-		if from, ok := m.Seq(); ok {
-			s.ivmQ = nil
-			_ = m.Apply(ctx, s.g, from, curSeq, pending)
-		}
-		// Invalid maintainer: leave the queue alone — it is cleared when a
-		// full chase re-seeds below, and unbounded growth is impossible
-		// because every read that recomputes also reseeds.
-	}
-	s.ivmQMu.Unlock()
-	if bl := m.Baseline(curSeq, threshold); bl != nil {
-		return bl, nil
-	}
-	bl, err := whatif.ComputeBaseline(ctx, s.g, threshold, s.engineOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	if threshold == m.Threshold() {
-		// The chase ran under the read lock, so the graph could not advance:
-		// the queued journal (if any) predates this baseline. Drop it before
-		// seeding, or the next drain would re-apply already-reflected
-		// mutations.
-		s.ivmQMu.Lock()
-		s.ivmQ = nil
-		s.ivmQMu.Unlock()
-		_ = m.Seed(ctx, s.g, curSeq, bl)
-	}
-	return bl, nil
+	return ver, bl, nil
 }
 
 // whatifRequest describes a POST /v1/whatif counterfactual: a batch of
@@ -1307,31 +1195,10 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	}
 
 	opt := whatif.Options{Threshold: threshold, Engine: s.engineOptions()}
-	var (
-		res *whatif.Result
-		seq uint64
-		err error
-	)
-	if s.vs != nil {
-		ver := s.vs.Current()
-		seq = ver.Seq()
-		var bl *whatif.Baseline
-		if bl, err = s.baselineFor(r.Context(), ver, threshold); err == nil {
-			res, err = whatif.Evaluate(r.Context(), ver.View(), bl, req.Ops, opt)
-		}
-	} else {
-		// Follower mode: no version chain — evaluate under the read lock so
-		// the replication stream cannot rewrite the graph mid-chase. The
-		// baseline is maintained incrementally from the queued replication
-		// journal (followerBaselineLocked), so steady-state reads skip the
-		// full re-chase the stream's out-of-band writes would otherwise
-		// force on every request.
-		s.mu.RLock()
-		var bl *whatif.Baseline
-		if bl, err = s.followerBaselineLocked(r.Context(), threshold); err == nil {
-			res, err = whatif.Evaluate(r.Context(), s.g, bl, req.Ops, opt)
-		}
-		s.mu.RUnlock()
+	var res *whatif.Result
+	ver, bl, err := s.pinBaseline(r.Context(), threshold)
+	if err == nil {
+		res, err = whatif.Evaluate(r.Context(), ver.View(), bl, req.Ops, opt)
 	}
 	if err != nil {
 		var oe *whatif.OpError
@@ -1362,7 +1229,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"version":         seq,
+		"version":         ver.Seq(),
 		"threshold":       threshold,
 		"created":         res.Created,
 		"delta":           res.Delta,
@@ -1436,12 +1303,7 @@ func (s *Server) handleReason(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Extract the relational image of the pinned read view (in follower
-	// mode: under the read lock), then run the chase without holding it.
-	v, release := s.view()
-	facts := relstore.CompanyGraphFacts(v)
-	release()
-	engine.AssertAll(facts)
+	engine.AssertAll(relstore.CompanyGraphFacts(s.view()))
 
 	runErr := engine.RunContext(r.Context())
 	s.recordChase(engine.Stats())
@@ -1511,8 +1373,7 @@ func jsonValue(v any) any {
 }
 
 func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
-	v, release := s.view()
-	defer release()
+	v := s.view()
 	w.Header().Set("Content-Type", "application/json")
 	_ = pg.WriteJSONView(v, w)
 }

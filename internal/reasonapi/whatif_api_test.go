@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"vadalink/internal/pg"
+	"vadalink/internal/whatif"
 )
 
 // acquisitionServer serves the README scenario: Alpha holds 25% of Beta,
@@ -105,9 +106,10 @@ func TestWhatifEndpoint(t *testing.T) {
 	}
 
 	// A second scenario against the same version hits the cached baseline
-	// and must produce the same answer.
-	if e := s.blCache.Load(); e == nil {
-		t.Fatal("baseline cache empty after a what-if")
+	// — at the default threshold, the maintainer's — and must produce the
+	// same answer.
+	if s.ivmM.Baseline(s.vs.Current().Seq(), whatif.DefaultThreshold) == nil {
+		t.Fatal("no cached baseline after a what-if")
 	}
 	resp2, raw2 := postJSON(t, srv.URL+"/v1/whatif", body)
 	if resp2.StatusCode != 200 {

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -282,8 +281,6 @@ func runFailoverMember(idx int, base string, die func(int, string, ...any)) {
 	if err != nil {
 		die(replFailoverExitOpen, "recovery refused: %v", err)
 	}
-	var gmu sync.Mutex
-	node.Follower().SetLock(&gmu)
 	logger.Info("recovered", "seq", node.Store().Seq(),
 		"epoch", node.Store().Epoch(), "lastEpoch", node.Store().LastEpoch())
 
@@ -317,14 +314,18 @@ func runFailoverMember(idx int, base string, die func(int, string, ...any)) {
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}
-		gmu.Lock()
 		val := fmt.Sprintf("m%d-p%d-i%d", idx, pid, i)
-		id := node.Store().Graph().AddNode(pg.LabelCompany, pg.Properties{"val": val})
-		seq := node.Store().Seq()
+		txn := node.Follower().Versions().Begin()
+		id := txn.Overlay().AddNode(pg.LabelCompany, pg.Properties{"val": val})
+		ver, err := txn.Commit()
+		if err != nil {
+			time.Sleep(10 * time.Millisecond)
+			continue
+		}
+		seq := int64(ver.Seq())
 		epoch := node.Store().Epoch()
-		gmu.Unlock()
 		cctx, cancel := context.WithTimeout(ctx, 2*replFailoverLease)
-		err := node.Commit(cctx)
+		err = node.Commit(cctx)
 		cancel()
 		if err != nil {
 			time.Sleep(10 * time.Millisecond)

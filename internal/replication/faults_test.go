@@ -243,21 +243,19 @@ func TestRunningFollowerLagsPastTruncation(t *testing.T) {
 	}
 }
 
-// A slow follower applying frames while readers hammer the graph through
-// the shared RWMutex. Run under -race this is the proof that SetLock makes
-// "serve reads while replicating" safe; the injected apply delay widens the
-// race window.
+// A slow follower applying frames while readers hammer its published
+// versions with no lock at all. Run under -race this is the proof that the
+// version chain makes "serve reads while replicating" safe; the injected
+// apply delay widens the race window.
 func TestConcurrentReadsWhileApplying(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	st, _, addr := testLeader(t, LeaderOptions{Heartbeat: 10 * time.Millisecond})
 	g := st.Graph()
 
-	var rw sync.RWMutex
 	fl, err := OpenFollower(t.TempDir(), FollowerOptions{Leader: addr, Backoff: backoffFast()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl.SetLock(&rw)
 	ctx, cancel := newTestCtx()
 	done := make(chan struct{})
 	go func() { defer close(done); fl.Run(ctx) }()
@@ -269,9 +267,9 @@ func TestConcurrentReadsWhileApplying(t *testing.T) {
 
 	faultinject.Set(faultinject.SiteReplApply, func() { time.Sleep(50 * time.Microsecond) })
 
-	// Readers: walk whatever graph the follower currently serves, under the
-	// read lock, re-fetching the pointer each pass (it changes on
-	// bootstrap). Each pass yields so the applier is contended, not starved.
+	// Readers: walk whatever version the follower currently publishes,
+	// re-pinning each pass. Each pass yields so the applier is contended,
+	// not starved.
 	stopReaders := make(chan struct{})
 	var readers sync.WaitGroup
 	var reads atomic.Int64
@@ -285,14 +283,12 @@ func TestConcurrentReadsWhileApplying(t *testing.T) {
 					return
 				default:
 				}
-				rw.RLock()
-				fg := fl.Graph()
+				fv := fl.Versions().Current().View()
 				total := 0
-				for _, id := range fg.Nodes() {
-					total += len(fg.Out(id))
+				for _, id := range fv.Nodes() {
+					total += len(fv.Out(id))
 				}
 				_ = total
-				rw.RUnlock()
 				reads.Add(1)
 				time.Sleep(100 * time.Microsecond)
 			}

@@ -1,7 +1,9 @@
 package replication
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,7 +17,12 @@ import (
 	"vadalink/internal/faultinject"
 	"vadalink/internal/persist"
 	"vadalink/internal/pg"
+	"vadalink/internal/store"
 )
+
+// maxFrameGroup caps the frames one transaction commits: a long catch-up
+// still acks (and publishes) every thousand-odd records.
+const maxFrameGroup = 1024
 
 // FollowerOptions tunes the tailing side of replication.
 type FollowerOptions struct {
@@ -55,10 +62,6 @@ type FollowerOptions struct {
 	// OnBackoff, when set, observes every reconnect delay (attempt number
 	// and chosen delay). Test instrumentation.
 	OnBackoff func(attempt int, d time.Duration)
-	// OnGraphSwap, when set, is called — under the follower's apply lock —
-	// whenever a snapshot bootstrap replaces the graph object. Serving
-	// layers that cache the *pg.Graph pointer use it to re-point.
-	OnGraphSwap func(*pg.Graph)
 	// Logger receives connection lifecycle events. Default: discard.
 	Logger *slog.Logger
 }
@@ -97,21 +100,17 @@ type FollowerStatus struct {
 // no separate position file to tear.
 type Follower struct {
 	store *persist.Store
+	vs    *store.Versioned
 	opts  FollowerOptions
 
-	// lock serializes frame application against readers. Defaults to a
-	// private mutex; a serving layer hands in the write side of its own
-	// RWMutex via SetLock so reads exclude half-applied mutations.
-	lock sync.Locker
-
 	// seqMu serializes every compound operation on the store's (seq, epoch)
-	// pair: frame application (epoch gate + apply), ack construction (sync
-	// + read), bootstrap adoption, and fence grants (condition re-check +
-	// RecordEpoch). Without it a fence can be granted against a seq that an
-	// in-flight apply is about to advance — the follower then acks the new
-	// record under the old epoch, the old leader counts the ack as a
-	// commit, and the freshly fenced candidate leads without the committed
-	// record. Taken outside lock where both are held.
+	// pair: frame-group commits (epoch gate + commit), ack construction
+	// (sync + read), bootstrap adoption, and fence grants (condition
+	// re-check + RecordEpoch). Without it a fence can be granted against a
+	// seq that an in-flight commit is about to advance — the follower then
+	// acks the new records under the old epoch, the old leader counts the
+	// ack as a commit, and the freshly fenced candidate leads without the
+	// committed records. Taken outside the chain's commit lock.
 	seqMu sync.Mutex
 
 	connected  atomic.Bool
@@ -139,16 +138,6 @@ type Follower struct {
 
 	errMu   sync.Mutex
 	lastErr string
-
-	// swapFns are additional graph-swap observers (see OnSwap), invoked —
-	// like FollowerOptions.OnGraphSwap — under the apply lock.
-	swapFns []func(*pg.Graph)
-
-	// mutFns are applied-mutation observers (see OnMutation), invoked under
-	// the apply lock after each shipped frame lands. An incremental view
-	// maintainer tails them to keep derived facts current without
-	// re-chasing on read.
-	mutFns []func(pg.Mutation)
 }
 
 // OpenFollower opens (or recovers) the follower's local store in dir. The
@@ -174,31 +163,25 @@ func OpenFollower(dir string, opts FollowerOptions) (*Follower, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Follower{store: st, opts: opts, lock: &sync.Mutex{}}
+	f := &Follower{store: st, opts: opts, vs: store.NewVersionedAt(st.Graph(), uint64(st.Seq()))}
 	f.downSince.Store(time.Now().UnixNano())
 	return f, nil
 }
 
-// SetLock replaces the apply lock. Call before Run. Passing the write side
-// of the RWMutex that guards reads makes "concurrent reads while applying"
-// safe by construction.
-func (f *Follower) SetLock(l sync.Locker) { f.lock = l }
+// Versions returns the follower's version chain, rooted at its WAL
+// position so version seqs equal WAL seqs. Frame groups, bootstraps (a new
+// root) and a leading replica-group node's writes all publish through it.
+func (f *Follower) Versions() *store.Versioned { return f.vs }
 
-// OnSwap registers an additional bootstrap observer, called under the
-// apply lock whenever a snapshot bootstrap replaces the graph object.
-// Serving layers that cache the *pg.Graph pointer re-point it here. Call
-// before Run.
-func (f *Follower) OnSwap(fn func(*pg.Graph)) { f.swapFns = append(f.swapFns, fn) }
+// OnMutation registers an observer of every mutation the follower's store
+// logs, called as each lands on the master graph with Seq() equal to that
+// mutation's sequence number. A snapshot bootstrap replays nothing through
+// it. Call before Run.
+func (f *Follower) OnMutation(fn func(pg.Mutation)) { f.store.OnCapture(fn) }
 
-// OnMutation registers an observer of every mutation a shipped frame applies
-// to the follower's graph, called under the apply lock with the same
-// pg.Mutation a leader-side hook would have seen. A snapshot bootstrap does
-// NOT replay through it — register an OnSwap observer to resynchronize from
-// scratch on bootstrap. Call before Run.
-func (f *Follower) OnMutation(fn func(pg.Mutation)) { f.mutFns = append(f.mutFns, fn) }
-
-// Graph returns the follower's current graph. After a snapshot bootstrap
-// this is a different object — cache the pointer only via OnGraphSwap.
+// Graph returns the follower's master graph (a different object after a
+// snapshot bootstrap). It changes under frame application; concurrent
+// readers pin Versions().Current() instead.
 func (f *Follower) Graph() *pg.Graph { return f.store.Graph() }
 
 // Store returns the follower's local durable store.
@@ -372,7 +355,8 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 		return false, fmt.Errorf("replication: sending request: %w", err)
 	}
 
-	h, err := f.readHello(conn)
+	br := bufio.NewReaderSize(conn, 64<<10)
+	h, err := f.readHello(conn, br)
 	if err != nil {
 		return false, err
 	}
@@ -402,7 +386,7 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 	// against such a leader must not postpone elections forever.
 
 	if h.Snapshot || h.Reset {
-		if err := f.bootstrap(conn, h); err != nil {
+		if err := f.bootstrap(conn, br, h); err != nil {
 			return true, err
 		}
 	} else {
@@ -412,14 +396,8 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 		// Adopt epoch marks the handshake carried that we are missing (their
 		// OpEpoch frames may have rotated away with old WAL generations).
 		for _, m := range h.Marks {
-			f.seqMu.Lock()
-			var merr error
-			if m.Epoch > f.store.Epoch() {
-				merr = f.store.RecordEpoch(m)
-			}
-			f.seqMu.Unlock()
-			if merr != nil {
-				return true, fmt.Errorf("replication: adopting epoch mark: %w", merr)
+			if err := f.adoptEpoch(m); err != nil {
+				return true, err
 			}
 		}
 	}
@@ -430,22 +408,44 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 	}
 	lastAck := time.Now()
 
-	// Stream loop: frames and heartbeats until something breaks.
+	// Stream loop: frames and heartbeats until something breaks. Frames
+	// collect into a group while further frames are already in hand, and
+	// each group commits as one transaction before the next ack — so a
+	// catch-up publishes (and folds) per group, not per record.
+	var group []persist.Record
 	for {
 		conn.SetReadDeadline(time.Now().Add(f.opts.ReadTimeout))
-		typ, payload, err := readMsg(conn)
+		typ, payload, err := readMsg(br)
 		if err != nil {
 			return true, fmt.Errorf("replication: stream read: %w", err)
 		}
 		f.touchContact()
 		switch typ {
 		case msgFrame:
-			newEpoch, err := f.applyFrame(payload, sessEpoch)
+			faultinject.Fire(faultinject.SiteReplApply)
+			rec, err := persist.DecodeFrame(payload)
 			if err != nil {
+				f.badFrames.Add(1)
+				return true, fmt.Errorf("replication: frame rejected: %w", err)
+			}
+			if rec.Op != persist.OpEpoch {
+				group = append(group, rec)
+				if len(group) < maxFrameGroup && frameInHand(br) {
+					continue
+				}
+			}
+			// An epoch frame lands between the records around it: the
+			// group before it commits first.
+			if err := f.commitGroup(group, sessEpoch); err != nil {
 				return true, err
 			}
-			if newEpoch > sessEpoch {
-				sessEpoch = newEpoch
+			group = group[:0]
+			if rec.Op == persist.OpEpoch {
+				if err := f.adoptEpoch(persist.EpochMark{Epoch: uint64(rec.ID), StartSeq: rec.From}); err != nil {
+					return true, err
+				}
+				f.frames.Add(1)
+				sessEpoch = max(sessEpoch, uint64(rec.ID))
 			}
 			if time.Since(lastAck) >= f.opts.AckEvery {
 				if err := f.sendAck(conn); err != nil {
@@ -504,9 +504,19 @@ func (f *Follower) sendAck(conn net.Conn) error {
 	return nil
 }
 
-func (f *Follower) readHello(conn net.Conn) (hello, error) {
+// frameInHand reports whether a whole frame message is already buffered,
+// so reading it cannot block.
+func frameInHand(br *bufio.Reader) bool {
+	if br.Buffered() < msgHeaderLen {
+		return false
+	}
+	hdr, _ := br.Peek(msgHeaderLen)
+	return hdr[0] == msgFrame && br.Buffered()-msgHeaderLen >= int(binary.LittleEndian.Uint32(hdr[1:]))
+}
+
+func (f *Follower) readHello(conn net.Conn, br *bufio.Reader) (hello, error) {
 	conn.SetReadDeadline(time.Now().Add(f.opts.ReadTimeout))
-	typ, payload, err := readMsg(conn)
+	typ, payload, err := readMsg(br)
 	if err != nil {
 		return hello{}, fmt.Errorf("replication: reading hello: %w", err)
 	}
@@ -522,17 +532,17 @@ func (f *Follower) readHello(conn net.Conn) (hello, error) {
 
 // bootstrap discards local state and adopts the leader's: either the
 // shipped snapshot, or — for a generation-0 leader — the empty graph. The
-// adopted graph is published atomically under the apply lock and made
-// durable (the follower's store rotates to a fresh snapshot) before any
-// frame is applied on top.
-func (f *Follower) bootstrap(conn net.Conn, h hello) error {
+// adopted graph is made durable (the follower's store rotates to a fresh
+// snapshot) and published as a new root version in one step under the
+// chain's commit lock, before any frame is applied on top.
+func (f *Follower) bootstrap(conn net.Conn, br *bufio.Reader, h hello) error {
 	g := pg.New()
 	// The adopted epoch history: the snapshot's own marks when one ships
 	// (they describe exactly the shipped state), the handshake's otherwise.
 	marks := h.Marks
 	if h.Snapshot {
 		conn.SetReadDeadline(time.Now().Add(f.opts.ReadTimeout))
-		typ, payload, err := readMsg(conn)
+		typ, payload, err := readMsg(br)
 		if err != nil {
 			return fmt.Errorf("replication: reading snapshot: %w", err)
 		}
@@ -549,17 +559,7 @@ func (f *Follower) bootstrap(conn net.Conn, h hello) error {
 	}
 	f.seqMu.Lock()
 	defer f.seqMu.Unlock()
-	f.lock.Lock()
-	err := f.store.ReplaceGraphMarks(g, marks)
-	if err == nil {
-		if f.opts.OnGraphSwap != nil {
-			f.opts.OnGraphSwap(g)
-		}
-		for _, fn := range f.swapFns {
-			fn(g)
-		}
-	}
-	f.lock.Unlock()
+	err := f.vs.Reset(g, uint64(h.From), func() error { return f.store.ReplaceGraphMarks(g, marks) })
 	if err != nil {
 		return fmt.Errorf("replication: adopting bootstrap state: %w", err)
 	}
@@ -568,83 +568,59 @@ func (f *Follower) bootstrap(conn net.Conn, h hello) error {
 	return nil
 }
 
-// applyFrame validates one shipped WAL frame and applies it. The CRC check
-// runs against the wire bytes, so corruption in transit is caught here and
-// handled like a disconnect: the caller drops the connection and the next
-// session re-requests from the last locally-held sequence number.
+// adoptEpoch durably records an epoch mark the leader shipped (in the
+// handshake or as a frame) unless the store already holds that epoch.
+func (f *Follower) adoptEpoch(m persist.EpochMark) error {
+	f.seqMu.Lock()
+	defer f.seqMu.Unlock()
+	if m.Epoch <= f.store.Epoch() {
+		return nil
+	}
+	if err := f.store.RecordEpoch(m); err != nil {
+		return fmt.Errorf("replication: adopting epoch mark: %w", err)
+	}
+	return nil
+}
+
+// commitGroup applies one frame group to a transaction on the chain and
+// commits it. Committing replays the records onto the master graph, whose
+// mutation hook logs them to the follower's own WAL and advances its
+// sequence number — durability and position tracking come free.
 //
-// sessEpoch is the epoch this stream was negotiated under; epoch frames
-// that advance it are returned as newEpoch (and recorded durably). A local
-// epoch newer than the session's — a fence granted mid-stream — kills the
-// session: the sender is deposed and its frames must not land.
-func (f *Follower) applyFrame(frame []byte, sessEpoch uint64) (newEpoch uint64, err error) {
-	faultinject.Fire(faultinject.SiteReplApply)
-	rec, err := persist.DecodeFrame(frame)
-	if err != nil {
-		f.badFrames.Add(1)
-		return 0, fmt.Errorf("replication: frame rejected: %w", err)
+// sessEpoch is the epoch this stream was negotiated under. The epoch gate
+// and the commit are one atomic step under seqMu: a fence granted after the
+// gate passes must not see the group slip in behind it — that would file
+// the deposed leader's records under the new epoch's history. A local epoch
+// newer than the session's kills the session: the sender is deposed.
+func (f *Follower) commitGroup(recs []persist.Record, sessEpoch uint64) error {
+	if len(recs) == 0 {
+		return nil
 	}
-	if rec.Op == persist.OpEpoch {
-		m := persist.EpochMark{Epoch: uint64(rec.ID), StartSeq: rec.From}
-		f.seqMu.Lock()
-		if m.Epoch > f.store.Epoch() {
-			if err := f.store.RecordEpoch(m); err != nil {
-				f.seqMu.Unlock()
-				return 0, fmt.Errorf("replication: recording shipped epoch: %w", err)
-			}
-		}
-		f.seqMu.Unlock()
-		f.frames.Add(1)
-		return m.Epoch, nil
-	}
-	// The epoch gate and the apply are one atomic step under seqMu: a fence
-	// granted after the gate passes must not see the record slip in behind
-	// it — that would file the deposed leader's record under the new
-	// epoch's history.
 	f.seqMu.Lock()
 	if cur := f.store.Epoch(); cur > sessEpoch {
 		f.seqMu.Unlock()
-		return 0, fmt.Errorf("%w: frame from epoch %d session, local epoch %d",
+		return fmt.Errorf("%w: frame from epoch %d session, local epoch %d",
 			ErrStaleLeader, sessEpoch, cur)
 	}
-	f.lock.Lock()
-	// Applying the record mutates the graph, which fires the store's
-	// mutation hook: the frame lands in the follower's own WAL and advances
-	// its sequence number. Durability and position tracking come free.
-	g := f.store.Graph()
-	// Removal mutations carry the element as it was — resolve before apply.
-	var removed pg.Mutation
-	if len(f.mutFns) > 0 {
-		switch rec.Op {
-		case persist.OpRemoveEdge:
-			removed = pg.Mutation{Kind: pg.MutRemoveEdge, Edge: g.Edge(pg.EdgeID(rec.ID))}
-		case persist.OpRemoveNode:
-			removed = pg.Mutation{Kind: pg.MutRemoveNode, Node: g.Node(pg.NodeID(rec.ID))}
+	txn := f.vs.Begin()
+	var err error
+	for _, rec := range recs {
+		if err = persist.Apply(txn.Overlay(), rec); err != nil {
+			break
 		}
 	}
-	err = persist.Apply(g, rec)
-	if err == nil && len(f.mutFns) > 0 {
-		m := removed
-		switch rec.Op {
-		case persist.OpAddNode:
-			m = pg.Mutation{Kind: pg.MutAddNode, Node: g.Node(pg.NodeID(rec.ID))}
-		case persist.OpAddEdge:
-			m = pg.Mutation{Kind: pg.MutAddEdge, Edge: g.Edge(pg.EdgeID(rec.ID))}
-		case persist.OpSetEdgeWeight:
-			m = pg.Mutation{Kind: pg.MutSetEdgeWeight, Edge: g.Edge(pg.EdgeID(rec.ID))}
-		}
-		for _, fn := range f.mutFns {
-			fn(m)
-		}
+	if err == nil {
+		_, err = txn.Commit()
+	} else {
+		txn.Abort()
 	}
-	f.lock.Unlock()
 	f.seqMu.Unlock()
 	if err != nil {
-		return 0, fmt.Errorf("replication: applying frame: %w", err)
+		return fmt.Errorf("replication: applying frame group: %w", err)
 	}
-	f.frames.Add(1)
+	f.frames.Add(int64(len(recs)))
 	f.markFreshIfCaughtUp()
-	return 0, nil
+	return nil
 }
 
 // grantFence durably records a fence mark on behalf of the node layer's

@@ -205,9 +205,9 @@ func OpenNode(dir string, opts NodeOptions) (*Node, error) {
 	return n, nil
 }
 
-// Follower returns the node's tailing half — the serving tier wires its
-// locks, swap and mutation observers through it exactly as it would for a
-// standalone follower.
+// Follower returns the node's tailing half. Its version chain (Versions) is
+// the node's one read and write path whatever the role: shipped frames
+// commit through it while following, local writes while leading.
 func (n *Node) Follower() *Follower { return n.fl }
 
 // Leader returns the node's serving half (live only while leading, but

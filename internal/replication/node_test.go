@@ -15,13 +15,11 @@ import (
 )
 
 // testMember is one in-process replica-group member: a Node plus its
-// listener and the goroutines running Serve and Run. gmu is the apply lock
-// shared between the follower session and test-side graph access.
+// listener and the goroutines running Serve and Run.
 type testMember struct {
 	n      *Node
 	dir    string
 	ln     net.Listener
-	gmu    sync.Mutex
 	cancel context.CancelFunc
 	done   chan struct{}
 }
@@ -58,7 +56,6 @@ func startMember(t *testing.T, dir string, lease time.Duration, peersFn func() [
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &testMember{n: n, dir: dir, ln: ln, cancel: cancel, done: make(chan struct{})}
-	n.Follower().SetLock(&m.gmu)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { defer wg.Done(); _ = n.Serve(ctx, ln) }()
@@ -120,14 +117,27 @@ func waitLeader(t *testing.T, members []*testMember, within time.Duration) *test
 	return nil
 }
 
+// addCompany commits one company fact through the member's version chain
+// — the write path the API server uses while the node leads — and returns
+// the sequence number it landed at.
+func (m *testMember) addCompany(name string) (int64, error) {
+	txn := m.n.Follower().Versions().Begin()
+	txn.Overlay().AddNode(pg.LabelCompany, pg.Properties{"name": name})
+	ver, err := txn.Commit()
+	if err != nil {
+		return 0, err
+	}
+	return int64(ver.Seq()), nil
+}
+
 // commitOne appends one company fact on the leader and runs the group
 // write barrier, returning the sequence number the ack covers.
 func commitOne(t *testing.T, m *testMember, name string) int64 {
 	t.Helper()
-	m.gmu.Lock()
-	m.n.Store().Graph().AddNode(pg.LabelCompany, pg.Properties{"name": name})
-	seq := m.n.Store().Seq()
-	m.gmu.Unlock()
+	seq, err := m.addCompany(name)
+	if err != nil {
+		t.Fatalf("write: %v", err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := m.n.Commit(ctx); err != nil {
@@ -146,12 +156,12 @@ func commitOnGroup(t *testing.T, members []*testMember, name string) (*testMembe
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		m := waitLeader(t, members, 15*time.Second)
-		m.gmu.Lock()
-		m.n.Store().Graph().AddNode(pg.LabelCompany, pg.Properties{"name": name})
-		seq := m.n.Store().Seq()
-		m.gmu.Unlock()
+		seq, err := m.addCompany(name)
+		if err != nil {
+			continue // a frame group raced a deposition onto the chain
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := m.n.Commit(ctx)
+		err = m.n.Commit(ctx)
 		cancel()
 		if err == nil {
 			return m, seq
@@ -460,11 +470,10 @@ func TestRejoinedStaleLeaderIsReset(t *testing.T) {
 	mu.Unlock()
 
 	waitFor(t, 20*time.Second, "rejoined member adopts the new history", func() bool {
-		rejoined.gmu.Lock()
-		defer rejoined.gmu.Unlock()
 		st := rejoined.n.Store()
-		return st.Epoch() >= next.n.Epoch() && st.Seq() >= ackedSeq &&
-			len(st.Graph().NodesWithLabel(pg.LabelPerson)) == 0
+		cur := rejoined.n.Follower().Versions().Current()
+		return st.Epoch() >= next.n.Epoch() && cur.Seq() >= uint64(ackedSeq) &&
+			len(cur.View().NodesWithLabel(pg.LabelPerson)) == 0
 	})
 }
 

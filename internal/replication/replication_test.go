@@ -2,6 +2,7 @@ package replication
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"vadalink/internal/backoff"
 	"vadalink/internal/persist"
 	"vadalink/internal/pg"
+	"vadalink/internal/store"
 )
 
 // testLeader spins up a leader store + serving loop on an ephemeral port.
@@ -80,7 +82,7 @@ func waitSeq(t *testing.T, fl *Follower, seq int64) {
 
 // sameFacts asserts the follower graph holds exactly the leader graph's
 // nodes and edges.
-func sameFacts(t *testing.T, leader, follower *pg.Graph) {
+func sameFacts(t *testing.T, leader, follower pg.View) {
 	t.Helper()
 	if leader.NumNodes() != follower.NumNodes() || leader.NumEdges() != follower.NumEdges() {
 		t.Fatalf("follower has %d nodes / %d edges, leader %d / %d",
@@ -351,9 +353,10 @@ func TestDivergedFollowerResets(t *testing.T) {
 	}
 }
 
-// OnGraphSwap fires under the apply lock when a bootstrap replaces the
-// graph, and the new pointer matches Graph().
-func TestOnGraphSwap(t *testing.T) {
+// A snapshot bootstrap publishes a new root version on the follower's chain
+// at the leader's seq, announced to commit hooks with a nil journal, and
+// the root reads exactly the adopted graph.
+func TestBootstrapPublishesRoot(t *testing.T) {
 	st, _, addr := testLeader(t, LeaderOptions{Heartbeat: 10 * time.Millisecond})
 	g := st.Graph()
 	for i := 0; i < 10; i++ {
@@ -363,34 +366,117 @@ func TestOnGraphSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	fl, err := OpenFollower(t.TempDir(), FollowerOptions{Leader: addr, Backoff: backoffFast()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var mu sync.Mutex
-	var swapped *pg.Graph
-	fl := testFollower(t, addr, FollowerOptions{
-		OnGraphSwap: func(ng *pg.Graph) {
+	var root *store.Version
+	fl.Versions().AddCommitHook(func(next *store.Version, journal []pg.Mutation) {
+		if journal == nil {
 			mu.Lock()
-			swapped = ng
+			root = next
 			mu.Unlock()
-		},
-	})
-	// Seq reaches 10 inside the same critical section that fires the swap
-	// callback, but a hair earlier — poll for the callback itself.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		got := swapped
-		mu.Unlock()
-		if got != nil {
-			if got != fl.Graph() {
-				t.Fatalf("OnGraphSwap pointer %p != Graph() %p", got, fl.Graph())
-			}
-			break
 		}
+	})
+	ctx, cancel := newTestCtx()
+	done := make(chan struct{})
+	go func() { defer close(done); fl.Run(ctx) }()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+		fl.Close()
+	})
+	deadline := time.Now().Add(10 * time.Second)
+	for fl.Status().Bootstraps == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("OnGraphSwap never fired (status %+v)", fl.Status())
+			t.Fatalf("follower never bootstrapped (status %+v)", fl.Status())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	waitSeq(t, fl, 10)
+	mu.Lock()
+	defer mu.Unlock()
+	if root == nil {
+		t.Fatalf("bootstrap published no root (status %+v)", fl.Status())
+	}
+	if root.Seq() != 10 || root.Depth() != 0 {
+		t.Fatalf("root at seq %d depth %d, want seq 10 depth 0", root.Seq(), root.Depth())
+	}
+	if fl.Versions().Current() != root {
+		t.Fatal("the bootstrap root is not the current version")
+	}
+	sameFacts(t, g, root.View())
+}
+
+// Shipped frames commit in groups on the follower's chain, and every
+// published version's seq is the follower's WAL position: each commit
+// advances it by its journal length, exactly once per record, and
+// OnMutation sees each record at its own seq.
+func TestFollowerChainTracksWALPosition(t *testing.T) {
+	st, _, addr := testLeader(t, LeaderOptions{Heartbeat: 10 * time.Millisecond})
+	g := st.Graph()
+	for i := 0; i < 300; i++ {
+		id := g.AddNode(pg.LabelCompany, nil)
+		if i > 0 {
+			g.MustAddEdgeWeighted(id-1, id, 0.5)
+		}
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fl, err := OpenFollower(t.TempDir(), FollowerOptions{Leader: addr, Backoff: backoffFast()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var commits, records int
+	var bad []string
+	last := fl.Versions().Current().Seq()
+	fl.Versions().AddCommitHook(func(next *store.Version, journal []pg.Mutation) {
+		mu.Lock()
+		defer mu.Unlock()
+		commits++
+		records += len(journal)
+		if next.Seq() != last+uint64(len(journal)) || int64(next.Seq()) != fl.Seq() {
+			bad = append(bad, fmt.Sprintf("seq %d after %d + %d records (WAL at %d)", next.Seq(), last, len(journal), fl.Seq()))
+		}
+		last = next.Seq()
+	})
+	var want int64
+	fl.OnMutation(func(pg.Mutation) {
+		mu.Lock()
+		defer mu.Unlock()
+		if want++; fl.Seq() != want {
+			bad = append(bad, fmt.Sprintf("OnMutation at seq %d, want %d", fl.Seq(), want))
+		}
+	})
+	ctx, cancel := newTestCtx()
+	done := make(chan struct{})
+	go func() { defer close(done); fl.Run(ctx) }()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+		fl.Close()
+	})
+	// The store's seq moves during a commit's replay, before its hooks run:
+	// wait for the hooks to account for every record.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		mu.Lock()
+		if int64(records) >= st.Seq() || time.Now().After(deadline) {
+			break
+		}
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	defer mu.Unlock()
+	if len(bad) > 0 {
+		t.Fatalf("chain left the WAL position: %v", bad)
+	}
+	if int64(records) != st.Seq() || commits == 0 || commits > records {
+		t.Fatalf("%d records in %d commits, want %d records", records, commits, st.Seq())
+	}
+	t.Logf("%d records in %d frame-group commits", records, commits)
 }
 
 func newTestCtx() (context.Context, context.CancelFunc) {

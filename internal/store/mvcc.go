@@ -22,10 +22,13 @@ var (
 )
 
 // DefaultFlattenDepth is the overlay-chain depth at which a commit folds
-// the chain into a flat clone of the writer master. Depth-1 chains keep
-// commits O(delta); flattening bounds the per-read indirection cost and is
-// paid by the (rare, already O(graph)) write path, never by readers.
+// the chain, bounding read indirection at the writer's expense.
 const DefaultFlattenDepth = 4
+
+// A fold replays everything committed since the last flat clone into one
+// overlay over it, in O(delta); only a delta past 1/rebaseFraction of the
+// graph re-clones the master.
+const rebaseFraction = 4
 
 // Version is one immutable published state of a versioned graph. Its View
 // is frozen — safe for unsynchronized concurrent reads for as long as any
@@ -40,8 +43,9 @@ type Version struct {
 // View returns the frozen graph view of this version.
 func (v *Version) View() pg.View { return v.view }
 
-// Seq returns the version's commit sequence number (0 for the initial
-// version, +1 per committed transaction).
+// Seq returns the version's sequence number: the root's plus one per
+// mutation record committed since, so a chain rooted at a WAL position
+// tracks the WAL position.
 func (v *Version) Seq() uint64 { return v.seq }
 
 // Depth reports the overlay-chain depth of the version's view (0 = flat
@@ -64,18 +68,26 @@ func (v *Version) Depth() int { return v.depth }
 //     pointer swap. Concurrency control is optimistic: a commit that lost
 //     the race to a newer version fails with ErrConflict.
 //
-// Every FlattenDepth commits the chain is folded into a flat clone of the
-// master so read indirection stays bounded.
+// Every FlattenDepth commits the chain is folded, so read indirection stays
+// bounded. Reset replaces the master wholesale and publishes a new root
+// version (a replica's snapshot bootstrap).
 type Versioned struct {
 	master       *pg.Graph
 	mu           sync.Mutex // serializes commits (master replay + publish)
 	curr         atomic.Pointer[Version]
 	flattenDepth int
 
+	// flat is the newest flat clone of the master and since the journal
+	// committed after it was cut; a fold replays since over flat.
+	flat  *pg.Graph
+	since []pg.Mutation
+
 	// onCommit, when set, observes every published version together with the
 	// journal that produced it — the seam an incremental view maintainer
 	// hangs on. It runs under mu, after the version is visible to readers,
-	// so observers see commits in publication order exactly once.
+	// so observers see commits in publication order exactly once. A nil
+	// journal marks a new root (Reset), observed just before it is
+	// published: no journal describes the jump.
 	onCommit func(next *Version, journal []pg.Mutation)
 }
 
@@ -88,20 +100,28 @@ type VersionedOptions struct {
 
 // NewVersioned wraps g as the writer master of a versioned store and
 // publishes a flat clone of it as version 0. The clone does not inherit
-// g's mutation hook (pg.Clone never does), so published read views are
+// g's mutation hook (clones never do), so published read views are
 // invisible to the WAL: durability capture happens exactly once, on the
-// master, at commit time.
+// master, at commit time. Flat versions share property maps with the master
+// (pg.Graph.CloneShared).
 //
 // After NewVersioned the caller must stop mutating g directly — every
 // change goes through Begin/Commit, which keeps master and published
 // versions in lockstep.
 func NewVersioned(g *pg.Graph, opts ...VersionedOptions) *Versioned {
+	return NewVersionedAt(g, 0, opts...)
+}
+
+// NewVersionedAt is NewVersioned with the root version at seq instead of 0
+// — a replica roots its chain at its WAL position, so version seqs and WAL
+// seqs coincide.
+func NewVersionedAt(g *pg.Graph, seq uint64, opts ...VersionedOptions) *Versioned {
 	fd := DefaultFlattenDepth
 	if len(opts) > 0 && opts[0].FlattenDepth > 0 {
 		fd = opts[0].FlattenDepth
 	}
-	vs := &Versioned{master: g, flattenDepth: fd}
-	vs.curr.Store(&Version{view: g.Clone(), seq: 0, depth: 0})
+	vs := &Versioned{master: g, flattenDepth: fd, flat: g.CloneShared()}
+	vs.curr.Store(&Version{view: vs.flat, seq: seq})
 	return vs
 }
 
@@ -111,7 +131,9 @@ func (vs *Versioned) Current() *Version { return vs.curr.Load() }
 // SetCommitHook installs fn as the store's commit observer; nil removes it.
 // The hook runs synchronously inside Commit, under the commit lock, after
 // the new version is published — it must not begin or commit transactions
-// (that would deadlock), and it observes commits in order, exactly once.
+// (that would deadlock), and it observes commits in order, exactly once. A
+// nil journal marks a new root from Reset, observed just before it is
+// published.
 func (vs *Versioned) SetCommitHook(fn func(next *Version, journal []pg.Mutation)) {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
@@ -160,10 +182,11 @@ func (t *Txn) Overlay() *pg.Overlay { return t.o }
 // Base returns the version the transaction is stacked on.
 func (t *Txn) Base() *Version { return t.base }
 
-// Commit publishes the transaction as the next version. It fails with
-// ErrConflict if a newer version was published after Begin and with
-// ErrTxnDone if the transaction already finished. On success the overlay
-// must no longer be mutated.
+// Commit publishes the transaction as the next version, its seq advanced by
+// the journal length. It fails with ErrConflict if a newer version was
+// published after Begin and with ErrTxnDone if the transaction already
+// finished. An empty transaction publishes nothing and returns its base
+// version. On success the overlay must no longer be mutated.
 func (t *Txn) Commit() (*Version, error) {
 	if t.done {
 		return nil, ErrTxnDone
@@ -178,15 +201,19 @@ func (t *Txn) Commit() (*Version, error) {
 	if vs.curr.Load() != t.base {
 		return nil, ErrConflict
 	}
+	if len(journal) == 0 {
+		t.done = true
+		return t.base, nil
+	}
 	if err := replay(vs.master, journal); err != nil {
 		return nil, err
 	}
 	t.done = true
 	faultinject.Fire(faultinject.SiteStoreSwap)
-	next := &Version{view: t.o, seq: t.base.seq + 1, depth: t.base.depth + 1}
+	next := &Version{view: t.o, seq: t.base.seq + uint64(len(journal)), depth: t.base.depth + 1}
+	vs.since = append(vs.since, journal...)
 	if next.depth >= vs.flattenDepth {
-		next.view = vs.master.Clone()
-		next.depth = 0
+		next.view, next.depth = vs.fold()
 	}
 	vs.curr.Store(next)
 	if vs.onCommit != nil {
@@ -195,16 +222,60 @@ func (t *Txn) Commit() (*Version, error) {
 	return next, nil
 }
 
+// Reset makes g the writer master and publishes a flat clone of it as a
+// new root version at seq; hooks see it, with a nil journal, just before
+// readers can. adopt, when non-nil, runs first under the commit lock (the
+// caller swaps its durable state there); its error publishes nothing.
+// Transactions begun before Reset fail with ErrConflict.
+func (vs *Versioned) Reset(g *pg.Graph, seq uint64, adopt func() error) error {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	if adopt != nil {
+		if err := adopt(); err != nil {
+			return err
+		}
+	}
+	vs.master, vs.flat, vs.since = g, g.CloneShared(), nil
+	next := &Version{view: vs.flat, seq: seq}
+	if vs.onCommit != nil {
+		vs.onCommit(next, nil)
+	}
+	vs.curr.Store(next)
+	return nil
+}
+
+// Exclusive runs fn under the commit lock, so no commit replays onto the
+// master meanwhile. fn must not begin or commit transactions.
+func (vs *Versioned) Exclusive(fn func() error) error {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	return fn()
+}
+
+// fold returns the view and depth that replace the chain. The caller holds
+// mu.
+func (vs *Versioned) fold() (pg.View, int) {
+	if rebaseFraction*len(vs.since) <= vs.master.NumNodes()+vs.master.NumEdges() {
+		o := pg.NewOverlay(vs.flat)
+		if replay(o, vs.since) == nil {
+			return o, 1
+		}
+	}
+	vs.flat, vs.since = vs.master.CloneShared(), nil
+	return vs.flat, 0
+}
+
 // Abort discards the transaction. The overlay is dropped; nothing was ever
 // visible to readers or the master.
 func (t *Txn) Abort() { t.done = true }
 
-// replay applies an overlay journal onto the master graph. Overlays assign
-// IDs continuing from their base's counters and the master tracks the
-// published chain exactly, so replayed IDs must come out identical; any
-// divergence means the master was mutated outside a transaction and the
-// store must fail loudly rather than publish a forked history.
-func replay(g *pg.Graph, journal []pg.Mutation) error {
+// replay applies an overlay journal onto the master graph (or, folding, onto
+// an overlay over the flat clone). Overlays assign IDs continuing from their
+// base's counters and the master tracks the published chain exactly, so
+// replayed IDs must come out identical; any divergence means the master was
+// mutated outside a transaction and the store must fail loudly rather than
+// publish a forked history.
+func replay(g pg.Mutable, journal []pg.Mutation) error {
 	for _, m := range journal {
 		switch m.Kind {
 		case pg.MutAddNode:

@@ -14,10 +14,11 @@ import (
 // TestSnapshotIsolationRace is the MVCC proof under -race: a stream of
 // committing writers, concurrent snapshot readers, and concurrent what-if
 // overlays all share one Versioned store. Every committed transaction adds
-// an atomic unit of two nodes joined by one edge, so:
+// an atomic unit of two nodes joined by one edge — three records, so the
+// seq advances by 3 per commit:
 //
-//   - a version with sequence number s must show exactly base+2s nodes and
-//     base+s edges — a reader that ever observes anything else saw a
+//   - a version with sequence number s = 3c must show exactly base+2c nodes
+//     and base+c edges — a reader that ever observes anything else saw a
 //     half-applied augment;
 //   - re-reading a held version after a delay must reproduce the identical
 //     counts — versions are frozen.
@@ -36,8 +37,8 @@ func TestSnapshotIsolationRace(t *testing.T) {
 		// but the published chain must not have moved yet.
 		seq := vs.Current().Seq()
 		nodes := vs.Current().View().NumNodes()
-		if nodes != baseNodes+2*int(seq) {
-			t.Errorf("swap window: published version seq=%d shows %d nodes, want %d", seq, nodes, baseNodes+2*int(seq))
+		if want := baseNodes + 2*int(seq/3); nodes != want {
+			t.Errorf("swap window: published version seq=%d shows %d nodes, want %d", seq, nodes, want)
 		}
 		swapChecks.Add(1)
 		time.Sleep(100 * time.Microsecond) // stretch the window
@@ -83,10 +84,13 @@ func TestSnapshotIsolationRace(t *testing.T) {
 
 	checkVersion := func(v *Version) {
 		seq := int(v.Seq())
-		if got, want := v.View().NumNodes(), baseNodes+2*seq; got != want {
+		if seq%3 != 0 {
+			t.Errorf("version seq=%d is not a whole number of commits", seq)
+		}
+		if got, want := v.View().NumNodes(), baseNodes+2*(seq/3); got != want {
 			t.Errorf("version seq=%d: %d nodes, want %d (half-applied commit visible)", seq, got, want)
 		}
-		if got, want := v.View().NumEdges(), baseEdges+seq; got != want {
+		if got, want := v.View().NumEdges(), baseEdges+seq/3; got != want {
 			t.Errorf("version seq=%d: %d edges, want %d", seq, got, want)
 		}
 	}
@@ -158,8 +162,8 @@ func TestSnapshotIsolationRace(t *testing.T) {
 	wg.Wait()
 
 	final := vs.Current()
-	if int64(final.Seq()) != committed.Load() {
-		t.Fatalf("final seq %d != %d commits", final.Seq(), committed.Load())
+	if int64(final.Seq()) != 3*committed.Load() {
+		t.Fatalf("final seq %d != 3 × %d commits", final.Seq(), committed.Load())
 	}
 	checkVersion(final)
 	if swapChecks.Load() == 0 {

@@ -42,8 +42,9 @@ func TestVersionedCommitPublishes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
-	if vs.Current() != v1 || v1.Seq() != 1 {
-		t.Fatalf("Current() != committed version (seq %d)", v1.Seq())
+	// Two records (a node, an edge): the seq advances per record.
+	if vs.Current() != v1 || v1.Seq() != 2 {
+		t.Fatalf("Current() != committed version (seq %d, want 2)", v1.Seq())
 	}
 	if got := v1.View().NumNodes(); got != 4 {
 		t.Fatalf("post-commit view has %d nodes, want 4", got)
@@ -96,8 +97,10 @@ func TestVersionedCommitsWeightEditAndNodeRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Commit of weight-edit + node-removal overlay: %v", err)
 	}
-	if v.Seq() != 1 {
-		t.Fatalf("published seq = %d, want 1", v.Seq())
+	// One weight edit, the victim's incident-edge removals, the node
+	// removal: one seq per journaled record.
+	if journal, _ := txn.Overlay().Journal(); v.Seq() != uint64(len(journal)) {
+		t.Fatalf("published seq = %d, want %d (one per record)", v.Seq(), len(journal))
 	}
 	// The replayed master and the published view agree.
 	if g.Node(victim) != nil || v.View().Node(victim) != nil {
@@ -237,5 +240,63 @@ func TestVersionedTxnBaseAndAbort(t *testing.T) {
 	}
 	if _, err := txn.Commit(); !errors.Is(err, ErrTxnDone) {
 		t.Fatalf("Commit after Abort = %v, want ErrTxnDone", err)
+	}
+}
+
+func TestVersionedEmptyCommitPublishesNothing(t *testing.T) {
+	vs := NewVersioned(seedGraph())
+	hooked := 0
+	vs.SetCommitHook(func(*Version, []pg.Mutation) { hooked++ })
+	base := vs.Current()
+	v, err := vs.Begin().Commit()
+	if err != nil || v != base || vs.Current() != base || hooked != 0 {
+		t.Fatalf("empty commit: version %p (base %p), err %v, %d hook calls; want base, nil, 0", v, base, err, hooked)
+	}
+}
+
+func TestVersionedReset(t *testing.T) {
+	vs := NewVersionedAt(seedGraph(), 7)
+	if got := vs.Current().Seq(); got != 7 {
+		t.Fatalf("root seq = %d, want 7", got)
+	}
+	stale := vs.Begin()
+	stale.Overlay().AddNode(pg.LabelCompany, nil)
+
+	g2 := pg.New()
+	g2.AddNode(pg.LabelCompany, nil)
+	sawRoot := false
+	vs.SetCommitHook(func(next *Version, journal []pg.Mutation) {
+		if journal != nil {
+			return
+		}
+		sawRoot = true
+		if vs.Current() == next {
+			t.Error("new root published before its hook ran")
+		}
+	})
+	if err := vs.Reset(g2, 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	root := vs.Current()
+	if root.Seq() != 3 || root.Depth() != 0 || root.View().NumNodes() != 1 || !sawRoot {
+		t.Fatalf("root seq %d depth %d nodes %d hooked %v; want 3, 0, 1, true",
+			root.Seq(), root.Depth(), root.View().NumNodes(), sawRoot)
+	}
+	if _, err := stale.Commit(); !errors.Is(err, ErrConflict) {
+		t.Fatalf("commit begun before Reset: err %v, want ErrConflict", err)
+	}
+	boom := errors.New("boom")
+	if err := vs.Reset(pg.New(), 9, func() error { return boom }); !errors.Is(err, boom) || vs.Current() != root {
+		t.Fatalf("failed adopt: err %v, current moved %v; want boom, unmoved", err, vs.Current() != root)
+	}
+	// Commits continue from the root, onto the new master.
+	txn := vs.Begin()
+	txn.Overlay().AddNode(pg.LabelPerson, nil)
+	v, err := txn.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Seq() != 4 || g2.NumNodes() != 2 {
+		t.Fatalf("commit after Reset: seq %d, master nodes %d; want 4, 2", v.Seq(), g2.NumNodes())
 	}
 }

@@ -39,18 +39,14 @@ func ivmWorkload(b *testing.B, n int) (*store.Versioned, *ivm.Maintainer, pg.Edg
 	if err := m.Init(context.Background(), cur.View(), cur.Seq()); err != nil {
 		b.Fatal(err)
 	}
-	vs.SetCommitHook(func(next *store.Version, journal []pg.Mutation) {
-		if err := m.Apply(context.Background(), next.View(), next.Seq()-1, next.Seq(), journal); err != nil {
-			b.Fatalf("maintenance failed: %v", err)
-		}
-	})
+	vs.AddCommitHook(m.OnCommit)
 	return vs, m, e, w
 }
 
 // BenchmarkIncrementalUpdate measures the serving-tier cost of one committed
 // shareholding-edge change: "incremental" commits the change through the
-// versioned store and lets the maintainer's differential chase update
-// control/closeLink (the POST /v1/augment + commit-hook path); "full"
+// versioned store and drains it through the maintainer's differential chase
+// (the commit hook queues, the next what-if drains); "full"
 // re-chases the whole graph from scratch, which is what every commit cost
 // before the maintainer existed. The differential harness in internal/ivm
 // proves the two agree; this benchmark records the gap.
@@ -82,11 +78,13 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 					if err := txn.Overlay().SetEdgeWeight(e, next); err != nil {
 						b.Fatal(err)
 					}
-					if _, err := txn.Commit(); err != nil {
+					ver, err := txn.Commit()
+					if err != nil {
 						b.Fatal(err)
 					}
+					m.Drain(ctx, ver.View(), ver.Seq())
 				}
-				if st := m.Stats(); !st.Valid {
+				if st := m.Stats(); !st.Valid || st.IncrementalCommits == 0 {
 					b.Fatalf("maintainer invalidated during benchmark: %+v", st)
 				}
 			})
