@@ -31,9 +31,8 @@ func chaseWorkload(b *testing.B, n int) []datalog.Fact {
 // graphgen workloads of {1k, 10k, 50k} companies. The scan sub-benchmarks
 // evaluate the same program with indexes disabled — the pre-index baseline
 // the speedup numbers in CHANGES.md are measured against. Scan mode is
-// quadratic in relation size (measured: 1.2 s at 1k, 111 s at 10k, ~45 min
-// at 50k on the reference machine), so it only runs at the smallest size
-// here; the one-off large-scale scan numbers live in CHANGES.md.
+// quadratic in relation size (measured on a 2-vCPU machine: 0.05 s at 1k,
+// 5.2 s at 10k), so it only runs at the smallest size here.
 func BenchmarkChase(b *testing.B) {
 	for _, n := range graphgen.BenchmarkSizes {
 		edb := chaseWorkload(b, n)

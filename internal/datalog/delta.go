@@ -188,7 +188,7 @@ func (e *Engine) ApplyDelta(ctx context.Context, dels, adds []Fact) (DeltaResult
 			if !ok {
 				continue
 			}
-			_, bytes := e.rel(f.Pred).insert(f)
+			_, bytes := e.rel(f.Pred).insert(f, k)
 			e.addIndexBytes(bytes)
 			if e.prov != nil {
 				e.prov[k] = Derivation{Rule: premises.rule, Premises: premises.facts}
@@ -216,7 +216,8 @@ func (e *Engine) ApplyDelta(ctx context.Context, dels, adds []Fact) (DeltaResult
 		}
 		next := make(map[string][]Fact)
 		emit := func(h Fact, ec *evalCtx) {
-			isNew, bytes := e.rel(h.Pred).insert(h)
+			k := h.Key()
+			isNew, bytes := e.rel(h.Pred).insert(h, k)
 			e.addIndexBytes(bytes)
 			if !isNew {
 				e.dupCount++
@@ -226,7 +227,6 @@ func (e *Engine) ApplyDelta(ctx context.Context, dels, adds []Fact) (DeltaResult
 			if b := e.opts.Budget; b.MaxFacts > 0 && e.derivedCount > b.MaxFacts {
 				e.trip(LimitFacts, b.MaxFacts, nil)
 			}
-			k := h.Key()
 			if e.prov != nil {
 				e.prov[k] = Derivation{Rule: ec.curRule, Premises: ec.snapshotPremises()}
 			}
@@ -317,36 +317,17 @@ type derivationTrace struct {
 // The check stops at the first satisfying assignment.
 func (e *Engine) rederive(ec *evalCtx, f Fact) (bool, derivationTrace, error) {
 	var trace derivationTrace
-	for ri, rule := range e.prog.Rules {
-		meta := e.ruleMeta[ri]
-		for _, h := range rule.Head {
-			if h.Pred != f.Pred || len(h.Terms) != len(f.Args) {
-				continue
-			}
-			binding := make(map[Variable]any)
-			ok := true
-			for i, t := range h.Terms {
-				switch tt := t.(type) {
-				case Constant:
-					ok = valueEqual(tt.Value, f.Args[i])
-				case Variable:
-					if v, bound := binding[tt]; bound {
-						ok = valueEqual(v, f.Args[i])
-					} else {
-						binding[tt] = f.Args[i]
-					}
-				}
-				if !ok {
-					break
-				}
-			}
-			if !ok {
+	for ri := range e.prog.Rules {
+		meta := &e.ruleMeta[ri]
+		for _, p := range meta.redo {
+			vals := ec.frame(meta.nslots)
+			if p.headAtom.pred != f.Pred || !p.headAtom.unify(f, vals) {
 				continue
 			}
 			if e.prov != nil {
 				trace.facts = trace.facts[:0]
 			}
-			sat, err := e.bodySatisfiable(ec, rule, meta, 0, binding, &trace)
+			sat, err := e.bodySatisfiable(ec, p.steps, vals, &trace)
 			if err != nil {
 				return false, trace, err
 			}
@@ -359,28 +340,27 @@ func (e *Engine) rederive(ec *evalCtx, f Fact) (bool, derivationTrace, error) {
 	return false, trace, nil
 }
 
-// bodySatisfiable walks the rule body in plan order looking for one
-// satisfying assignment, backtracking like evalBody but returning at the
-// first success. When provenance is on, trace accumulates the matched body
-// facts of the successful path.
-func (e *Engine) bodySatisfiable(ec *evalCtx, rule Rule, meta ruleMeta, pos int,
-	binding map[Variable]any, trace *derivationTrace) (bool, error) {
-
+// bodySatisfiable walks the remaining plan steps looking for one satisfying
+// assignment, backtracking like evalBody but returning at the first
+// success. When provenance is on, trace accumulates the matched body facts
+// of the successful path.
+func (e *Engine) bodySatisfiable(ec *evalCtx, steps []step, vals []any, trace *derivationTrace) (bool, error) {
 	if err := ec.step(); err != nil {
 		return false, err
 	}
-	if pos == len(meta.order) {
+	if len(steps) == 0 {
 		return true, nil
 	}
-	l := rule.Body[meta.order[pos]]
-	switch l.Kind {
+	st := &steps[0]
+	switch st.kind {
 	case LitAtom:
-		for _, f := range e.lookup(l.Atom, binding) {
-			undo, ok := bindAtom(l.Atom, f, binding)
-			if !ok {
+		cs := e.lookup(st.atom, vals)
+		for k := 0; k < cs.len(); k++ {
+			f := cs.at(k)
+			if !st.atom.unify(f, vals) {
 				continue
 			}
-			sat, err := e.bodySatisfiable(ec, rule, meta, pos+1, binding, trace)
+			sat, err := e.bodySatisfiable(ec, steps[1:], vals, trace)
 			if err != nil {
 				return false, err
 			}
@@ -388,47 +368,41 @@ func (e *Engine) bodySatisfiable(ec *evalCtx, rule Rule, meta ruleMeta, pos int,
 				if e.prov != nil {
 					trace.facts = append(trace.facts, f)
 				}
-				// Leave the binding as-is: the caller discards it.
 				return true, nil
 			}
-			undo(binding)
 		}
 		return false, nil
 
 	case LitCmp:
-		lv, err := e.evalExpr(l.Left, binding)
+		lv, err := st.left.eval(e.builtins, vals)
 		if err != nil {
 			return false, err
 		}
-		rv, err := e.evalExpr(l.Right, binding)
+		rv, err := st.right.eval(e.builtins, vals)
 		if err != nil {
 			return false, err
 		}
-		if !compare(l.Cmp, lv, rv) {
+		if !compare(st.cmp, lv, rv) {
 			return false, nil
 		}
-		return e.bodySatisfiable(ec, rule, meta, pos+1, binding, trace)
+		return e.bodySatisfiable(ec, steps[1:], vals, trace)
 
 	case LitAssign:
-		v, err := e.evalExpr(l.Expr, binding)
+		v, err := st.expr.eval(e.builtins, vals)
 		if err != nil {
 			return false, err
 		}
-		if old, bound := binding[l.Var]; bound {
-			if !valueEqual(old, v) {
+		if st.check {
+			if !valueEqual(vals[st.slot], v) {
 				return false, nil
 			}
-			return e.bodySatisfiable(ec, rule, meta, pos+1, binding, trace)
+		} else {
+			vals[st.slot] = v
 		}
-		binding[l.Var] = v
-		sat, err := e.bodySatisfiable(ec, rule, meta, pos+1, binding, trace)
-		if !sat {
-			delete(binding, l.Var)
-		}
-		return sat, err
+		return e.bodySatisfiable(ec, steps[1:], vals, trace)
 	}
 	// LitNot and LitAgg are unreachable: incrementalOK refused them.
-	return false, fmt.Errorf("datalog: literal kind %d in incremental rederivation", l.Kind)
+	return false, fmt.Errorf("datalog: literal kind %d in incremental rederivation", st.kind)
 }
 
 // Retract removes one extensional fact from the store, maintaining the
@@ -465,7 +439,7 @@ func (r *relation) remove(f Fact) bool {
 			if mask&(1<<uint(pos)) == 0 {
 				continue
 			}
-			for _, i := range r.index[pos][encodeValue(f.Args[pos])] {
+			for _, i := range r.index[pos][indexKey(f.Args[pos])] {
 				if r.facts[i].Key() == k {
 					idx = i
 					break
@@ -494,7 +468,7 @@ func (r *relation) remove(f Fact) bool {
 			// Drop the removed fact's bucket entry (order within a bucket
 			// is immaterial: swap-remove).
 			if pos < len(removed.Args) {
-				ev := encodeValue(removed.Args[pos])
+				ev := indexKey(removed.Args[pos])
 				b := r.index[pos][ev]
 				for j, i := range b {
 					if i == idx {
@@ -512,7 +486,7 @@ func (r *relation) remove(f Fact) bool {
 			// Repoint the moved fact's entry from its old slot to the freed
 			// one (after the drop, so a shared bucket cannot confuse the two).
 			if idx != last && pos < len(moved.Args) {
-				b := r.index[pos][encodeValue(moved.Args[pos])]
+				b := r.index[pos][indexKey(moved.Args[pos])]
 				for j, i := range b {
 					if i == last {
 						b[j] = idx

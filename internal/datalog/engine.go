@@ -151,6 +151,20 @@ type evalCtx struct {
 	curRule     string
 	curPremises []Fact
 	aggExtra    []Fact
+
+	// vals is the slot frame of the rule instantiation in flight; probes
+	// and matches count candidate facts unified and those that unified,
+	// cumulatively (jobs report differences).
+	vals            []any
+	probes, matches int64
+}
+
+// frame returns the slot frame sized for a rule's plans.
+func (ec *evalCtx) frame(nslots int) []any {
+	if cap(ec.vals) < nslots {
+		ec.vals = make([]any, nslots)
+	}
+	return ec.vals[:nslots]
 }
 
 func (e *Engine) newEvalCtx() *evalCtx {
@@ -163,8 +177,8 @@ func (e *Engine) newEvalCtx() *evalCtx {
 type emitFn func(Fact, *evalCtx)
 
 // Approximate per-entry costs of the positional indexes, used for the
-// MaxIndexBytes budget: a new distinct key costs its encoded bytes plus map
-// overhead, every fact reference costs one slot in a bucket.
+// MaxIndexBytes budget: a new distinct key costs map overhead plus its
+// string bytes, every fact reference costs one slot in a bucket.
 const (
 	indexKeyOverhead    = 48
 	indexBucketSlotCost = 8
@@ -172,14 +186,14 @@ const (
 
 // relation stores the facts of one predicate with a key set for set
 // semantics and lazily built per-position hash indexes for joins: argument
-// position → encoded value → fact indices. An index position is built the
+// position → index key (see indexKey) → fact indices. An index position is built the
 // first time a lookup probes it (double-checked under mu, published through
 // the built mask) and maintained incrementally by insert from then on, so
 // semi-naive delta inserts stay O(#built positions).
 type relation struct {
 	facts []Fact
 	keys  map[string]bool
-	index []map[string][]int // position → encoded value → fact indices
+	index []map[any][]int // position → index key → fact indices
 
 	// built has bit p set once index[p] is built; readers check it with an
 	// atomic load before touching index[p], writers publish under mu. Only
@@ -196,11 +210,46 @@ func (r *relation) hasIndex(pos int) bool {
 	return pos < 64 && r.built.Load()&(1<<uint(pos)) != 0
 }
 
-// insert adds a fact, maintaining every built index. It reports whether the
-// fact is new and the estimated index bytes the insertion added. Insert
-// requires exclusive access (engine mutation contract).
-func (r *relation) insert(f Fact) (bool, int) {
-	k := f.Key()
+// indexKey maps a ground value to its positional-index key: values that
+// valueEqual deems equal get equal keys. Values key by themselves, except
+// that int widens to int64, NaN (never equal to itself as a map key) gets
+// one shared key, and exotic types key by their canonical encoding. Keys
+// may collide where valueEqual differs (0.0 and -0.0), so a bucket holds
+// candidates that unification still verifies.
+func indexKey(v any) any {
+	switch x := v.(type) {
+	case string, int64, bool, Null, SkolemID:
+		return v
+	case float64:
+		if x != x {
+			return nanKey{}
+		}
+		return v
+	case int:
+		return int64(x)
+	}
+	return encodedKey(encodeValue(v))
+}
+
+type (
+	nanKey     struct{}
+	encodedKey string
+)
+
+// indexKeyBytes estimates the memory of one distinct index key.
+func indexKeyBytes(k any) int {
+	if s, ok := k.(string); ok {
+		return len(s) + indexKeyOverhead
+	}
+	return indexKeyOverhead
+}
+
+// insert adds a fact under its canonical key k (f.Key(), passed in because
+// every caller has already built it), maintaining every built index. It
+// reports whether the fact is new and the estimated index bytes the
+// insertion added. Insert requires exclusive access (engine mutation
+// contract).
+func (r *relation) insert(f Fact, k string) (bool, int) {
 	if r.keys[k] {
 		return false, 0
 	}
@@ -208,7 +257,7 @@ func (r *relation) insert(f Fact) (bool, int) {
 	idx := len(r.facts)
 	r.facts = append(r.facts, f)
 	if r.index == nil {
-		r.index = make([]map[string][]int, len(f.Args))
+		r.index = make([]map[any][]int, len(f.Args))
 	}
 	bytes := 0
 	if mask := r.built.Load(); mask != 0 {
@@ -216,11 +265,11 @@ func (r *relation) insert(f Fact) (bool, int) {
 			if pos >= len(r.index) || pos >= 64 || mask&(1<<uint(pos)) == 0 {
 				continue
 			}
-			ev := encodeValue(f.Args[pos])
+			ev := indexKey(f.Args[pos])
 			m := r.index[pos]
 			b, ok := m[ev]
 			if !ok {
-				bytes += len(ev) + indexKeyOverhead
+				bytes += indexKeyBytes(ev)
 			}
 			m[ev] = append(b, idx)
 			bytes += indexBucketSlotCost
@@ -247,15 +296,15 @@ func (r *relation) ensureIndex(pos int) (int, bool) {
 		return 0, false
 	}
 	bytes := 0
-	m := make(map[string][]int, len(r.facts))
+	m := make(map[any][]int, len(r.facts))
 	for i, f := range r.facts {
 		if pos >= len(f.Args) {
 			continue
 		}
-		ev := encodeValue(f.Args[pos])
+		ev := indexKey(f.Args[pos])
 		b, ok := m[ev]
 		if !ok {
-			bytes += len(ev) + indexKeyOverhead
+			bytes += indexKeyBytes(ev)
 		}
 		m[ev] = append(b, i)
 		bytes += indexBucketSlotCost
@@ -265,19 +314,8 @@ func (r *relation) ensureIndex(pos int) (int, bool) {
 	return bytes, true
 }
 
-func (r *relation) bucket(pos int, key string) []int {
+func (r *relation) bucket(pos int, key any) []int {
 	return r.index[pos][key]
-}
-
-// ruleMeta is the per-rule evaluation plan computed at engine construction.
-type ruleMeta struct {
-	order     []int             // body literal evaluation order
-	headVars  []Variable        // universally-quantified head variables
-	existVars map[Variable]bool // head variables that are existential
-	aggIdx    int               // index (into order) of the aggregate literal, -1 if none
-	aggHead   int               // head atom defining the aggregation group
-	aggSkip   map[int]bool      // positions of aggHead holding the aggregate target
-	label     string            // cached "label: rule text" for provenance
 }
 
 // parallelSafe reports whether the rule may evaluate on a chase worker.
@@ -332,6 +370,9 @@ func NewEngine(prog *Program, options ...Option) (*Engine, error) {
 			return nil, fmt.Errorf("datalog: rule %d (%s): %w", i, r.Label, err)
 		}
 		meta.label = r.Label + ": " + r.String()
+		if err := compileRule(i, r, &meta); err != nil {
+			return nil, fmt.Errorf("datalog: rule %d (%s): %w", i, r.Label, err)
+		}
 		e.ruleMeta = append(e.ruleMeta, meta)
 	}
 	strata, err := stratify(prog)
@@ -351,7 +392,7 @@ func (e *Engine) RegisterBuiltin(name string, fn Builtin) {
 
 // Assert adds an extensional fact. It reports whether the fact is new.
 func (e *Engine) Assert(f Fact) bool {
-	ok, bytes := e.rel(f.Pred).insert(f)
+	ok, bytes := e.rel(f.Pred).insert(f, f.Key())
 	if bytes > 0 {
 		e.indexBytes.Add(int64(bytes))
 	}
@@ -494,20 +535,20 @@ func (e *Engine) Match(pred string, pattern ...any) []Fact {
 // chooseIndex selects the index position to probe for a pattern of bound
 // values (nil entries unbound): the smallest bucket among built indexes, or
 // a fresh index on the first bound position when none is built yet. It
-// reports (position, encoded key, ok).
-func (e *Engine) chooseIndex(r *relation, pattern []any) (int, string, bool) {
+// reports (position, index key, ok).
+func (e *Engine) chooseIndex(r *relation, pattern []any) (int, any, bool) {
 	if e.opts.NoIndex {
-		return 0, "", false
+		return 0, nil, false
 	}
 	bestPos, bestLen := -1, -1
-	var bestKey string
+	var bestKey any
 	firstBound := -1
-	var firstKey string
+	var firstKey any
 	for i, p := range pattern {
 		if p == nil || i >= len(r.index) || i >= 64 {
 			continue
 		}
-		k := encodeValue(p)
+		k := indexKey(p)
 		if firstBound == -1 {
 			firstBound, firstKey = i, k
 		}
@@ -533,7 +574,7 @@ func (e *Engine) chooseIndex(r *relation, pattern []any) (int, string, bool) {
 			return firstBound, firstKey, true
 		}
 	}
-	return 0, "", false
+	return 0, nil, false
 }
 
 // Binding is one answer to a Query: variable name → ground value.
@@ -549,36 +590,46 @@ type Binding map[Variable]any
 // indexes once its variables are bound by earlier atoms. Duplicate bindings
 // are deduplicated.
 func (e *Engine) Query(goal ...Atom) []Binding {
+	slots := slotTable{}
+	bound := map[Variable]bool{}
+	ops := make([]*atomOp, len(goal))
+	for i, a := range goal {
+		ops[i] = compileAtom(a, slots, bound)
+	}
+	vars := make([]Variable, 0, len(slots))
+	for v := range slots {
+		vars = append(vars, v)
+	}
+	sort.Slice(vars, func(a, b int) bool { return vars[a] < vars[b] })
+	vals := make([]any, len(slots))
+
 	var out []Binding
 	seen := map[string]bool{}
-	binding := make(map[Variable]any)
+	var key strings.Builder
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(goal) {
-			b := make(Binding, len(binding))
-			var key strings.Builder
-			vars := make([]Variable, 0, len(binding))
-			for v := range binding {
-				vars = append(vars, v)
-			}
-			sort.Slice(vars, func(a, b int) bool { return vars[a] < vars[b] })
+			key.Reset()
 			for _, v := range vars {
-				b[v] = binding[v]
 				key.WriteString(string(v))
 				key.WriteByte('=')
-				appendValue(&key, binding[v])
+				appendValue(&key, vals[slots[v]])
 				key.WriteByte('|')
 			}
-			if !seen[key.String()] {
-				seen[key.String()] = true
+			if k := key.String(); !seen[k] {
+				seen[k] = true
+				b := make(Binding, len(vars))
+				for _, v := range vars {
+					b[v] = vals[slots[v]]
+				}
 				out = append(out, b)
 			}
 			return
 		}
-		for _, f := range e.lookup(goal[i], binding) {
-			if undo, ok := bindAtom(goal[i], f, binding); ok {
+		cs := e.lookup(ops[i], vals)
+		for k := 0; k < cs.len(); k++ {
+			if ops[i].unify(cs.at(k), vals) {
 				rec(i + 1)
-				undo(binding)
 			}
 		}
 	}
@@ -899,7 +950,8 @@ func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
 	if e.workerCount(parallelJobs) <= 1 {
 		// Sequential path: direct insertion, premises snapshotted at insert.
 		emit := func(f Fact, ec *evalCtx) {
-			isNew, bytes := e.rel(f.Pred).insert(f)
+			k := f.Key()
+			isNew, bytes := e.rel(f.Pred).insert(f, k)
 			e.addIndexBytes(bytes)
 			if !isNew {
 				e.dupCount++
@@ -911,14 +963,17 @@ func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
 				premises = ec.snapshotPremises()
 				rule = ec.curRule
 			}
-			afterInsert(f, f.Key(), rule, premises)
+			afterInsert(f, k, rule, premises)
 		}
 		ec := e.newEvalCtx()
 		for _, j := range jobs {
 			jt := e.ruleStart(j.ri)
-			d0, dup0 := e.derivedCount, e.dupCount
+			d0, dup0, p0, m0 := e.derivedCount, e.dupCount, ec.probes, ec.matches
 			err := e.evalJob(ec, j, emit)
-			e.ruleDone(j.ri, jt, e.derivedCount-d0, e.dupCount-dup0)
+			e.ruleDone(j.ri, jt, jobCounts{
+				derived: e.derivedCount - d0, dups: e.dupCount - dup0,
+				probes: ec.probes - p0, matches: ec.matches - m0,
+			})
 			if err != nil {
 				return delta, err
 			}
@@ -949,10 +1004,21 @@ func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
 	// into the per-rule statistics together with the insert counts.
 	instr := e.instrumenting()
 	var jobNanos []int64
-	var jobDups []int
+	var counts []jobCounts
 	if instr {
 		jobNanos = make([]int64, len(jobs))
-		jobDups = make([]int, len(jobs))
+		counts = make([]jobCounts, len(jobs))
+	}
+	// runJob evaluates one buffered job, filling its instrumentation slots.
+	runJob := func(ec *evalCtx, idx int) {
+		jt := e.ruleStart(jobs[idx].ri)
+		p0, m0 := ec.probes, ec.matches
+		dups, err := e.evalJobBuffered(ec, jobs[idx], &buffers[idx])
+		errs[idx] = err
+		if instr {
+			jobNanos[idx] = int64(time.Since(jt))
+			counts[idx] = jobCounts{dups: dups, probes: ec.probes - p0, matches: ec.matches - m0}
+		}
 	}
 
 	workers := e.workerCount(len(parIdx))
@@ -977,13 +1043,7 @@ func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
 							panics[idx] = r
 						}
 					}()
-					jt := e.ruleStart(jobs[idx].ri)
-					dups, err := e.evalJobBuffered(ec, jobs[idx], &buffers[idx])
-					errs[idx] = err
-					if instr {
-						jobNanos[idx] = int64(time.Since(jt))
-						jobDups[idx] = dups
-					}
+					runJob(ec, idx)
 				}()
 			}
 		}()
@@ -1005,13 +1065,7 @@ func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
 	// must be the deterministic job order.
 	ec := e.newEvalCtx()
 	for _, idx := range seqIdx {
-		jt := e.ruleStart(jobs[idx].ri)
-		dups, err := e.evalJobBuffered(ec, jobs[idx], &buffers[idx])
-		errs[idx] = err
-		if instr {
-			jobNanos[idx] = int64(time.Since(jt))
-			jobDups[idx] = dups
-		}
+		runJob(ec, idx)
 	}
 
 	// Re-panic worker panics on the calling goroutine, preserving the
@@ -1028,7 +1082,7 @@ func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
 	for i := range jobs {
 		inserted, mergeDups := 0, 0
 		for _, p := range buffers[i] {
-			isNew, bytes := e.rel(p.f.Pred).insert(p.f)
+			isNew, bytes := e.rel(p.f.Pred).insert(p.f, p.key)
 			e.addIndexBytes(bytes)
 			if !isNew {
 				mergeDups++
@@ -1038,9 +1092,11 @@ func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
 			afterInsert(p.f, p.key, p.rule, p.premises)
 		}
 		if instr {
-			dups := jobDups[i] + mergeDups
-			e.dupCount += dups
-			e.ruleDoneNanos(jobs[i].ri, jobNanos[i], inserted, dups)
+			c := counts[i]
+			c.derived = inserted
+			c.dups += mergeDups
+			e.dupCount += c.dups
+			e.ruleDoneNanos(jobs[i].ri, jobNanos[i], c)
 		}
 		if errs[i] != nil && firstErr == nil {
 			firstErr = errs[i]
@@ -1075,16 +1131,37 @@ func (ec *evalCtx) snapshotPremises() []Fact {
 	return premises
 }
 
-// evalJob evaluates one job with the given emitter.
+// evalJob evaluates one job with the given emitter. A delta job runs its
+// rule's delta-first plan, so the delta facts drive the join and every other
+// atom is probed through an index on what they bind; the round-0 plan and
+// the NoIndex ablation keep the default order.
 func (e *Engine) evalJob(ec *evalCtx, j chaseJob, emit emitFn) error {
-	rule := e.prog.Rules[j.ri]
-	meta := e.ruleMeta[j.ri]
-	binding := make(map[Variable]any)
+	meta := &e.ruleMeta[j.ri]
+	p := meta.full
+	if j.deltaLit >= 0 && !e.opts.NoIndex {
+		p = meta.byDelta[j.deltaLit]
+	}
 	if e.prov != nil {
 		ec.curRule = meta.label
 		ec.curPremises = ec.curPremises[:0]
 	}
-	return e.evalBody(ec, j.ri, rule, meta, 0, binding, j.deltaFacts, j.deltaLit, emit)
+	run := &jobRun{
+		ri: j.ri, rule: e.prog.Rules[j.ri], meta: meta, steps: p.steps,
+		vals: ec.frame(meta.nslots), deltaFacts: j.deltaFacts, deltaLit: j.deltaLit, emit: emit,
+	}
+	return e.evalBody(ec, run, 0)
+}
+
+// jobRun is the fixed context of one job's body evaluation.
+type jobRun struct {
+	ri         int
+	rule       Rule
+	meta       *ruleMeta
+	steps      []step
+	vals       []any
+	deltaFacts []Fact
+	deltaLit   int
+	emit       emitFn
 }
 
 // evalJobBuffered evaluates one job into its buffer: emissions deduplicate
@@ -1123,98 +1200,92 @@ func (e *Engine) evalJobBuffered(ec *evalCtx, j chaseJob, buf *[]pendingFact) (i
 	return dups, err
 }
 
-func (e *Engine) evalBody(ec *evalCtx, ri int, rule Rule, meta ruleMeta, pos int, binding map[Variable]any,
-	deltaFacts []Fact, deltaLit int, emit emitFn) error {
-
+func (e *Engine) evalBody(ec *evalCtx, run *jobRun, pos int) error {
 	// Cooperative cancellation: every body-literal expansion is a step, so
 	// even a single enormous join round honors deadlines and budgets.
 	if err := ec.step(); err != nil {
 		return err
 	}
-	if pos == len(meta.order) {
-		return e.fireHead(ec, ri, rule, meta, binding, emit)
+	if pos == len(run.steps) {
+		return e.fireHead(ec, run)
 	}
-	li := meta.order[pos]
-	l := rule.Body[li]
-	switch l.Kind {
+	st := &run.steps[pos]
+	vals := run.vals
+	switch st.kind {
 	case LitAtom:
-		var candidates []Fact
-		if li == deltaLit {
-			candidates = deltaFacts
-		} else {
-			candidates = e.lookup(l.Atom, binding)
+		cs := candidates{facts: run.deltaFacts}
+		if st.lit != run.deltaLit {
+			cs = e.lookup(st.atom, vals)
 		}
 		prov := e.prov != nil
-		for _, f := range candidates {
-			undo, ok := bindAtom(l.Atom, f, binding)
-			if !ok {
+		for k := 0; k < cs.len(); k++ {
+			f := cs.at(k)
+			ec.probes++
+			if !st.atom.unify(f, vals) {
 				continue
 			}
+			ec.matches++
 			if prov {
 				ec.curPremises = append(ec.curPremises, f)
 			}
-			if err := e.evalBody(ec, ri, rule, meta, pos+1, binding, deltaFacts, deltaLit, emit); err != nil {
+			if err := e.evalBody(ec, run, pos+1); err != nil {
 				return err
 			}
 			if prov {
 				ec.curPremises = ec.curPremises[:len(ec.curPremises)-1]
 			}
-			undo(binding)
 		}
 		return nil
 
 	case LitNot:
-		if e.existsMatch(l.Atom, binding) {
+		if e.existsMatch(ec, st.atom, vals) {
 			return nil
 		}
-		return e.evalBody(ec, ri, rule, meta, pos+1, binding, deltaFacts, deltaLit, emit)
+		return e.evalBody(ec, run, pos+1)
 
 	case LitCmp:
-		lv, err := e.evalExpr(l.Left, binding)
+		lv, err := st.left.eval(e.builtins, vals)
 		if err != nil {
 			return err
 		}
-		rv, err := e.evalExpr(l.Right, binding)
+		rv, err := st.right.eval(e.builtins, vals)
 		if err != nil {
 			return err
 		}
-		if !compare(l.Cmp, lv, rv) {
+		if !compare(st.cmp, lv, rv) {
 			return nil
 		}
-		return e.evalBody(ec, ri, rule, meta, pos+1, binding, deltaFacts, deltaLit, emit)
+		return e.evalBody(ec, run, pos+1)
 
 	case LitAssign:
-		v, err := e.evalExpr(l.Expr, binding)
+		v, err := st.expr.eval(e.builtins, vals)
 		if err != nil {
 			return err
 		}
-		if old, bound := binding[l.Var]; bound {
+		if st.check {
 			// Re-assignment acts as an equality check.
-			if !valueEqual(old, v) {
+			if !valueEqual(vals[st.slot], v) {
 				return nil
 			}
-			return e.evalBody(ec, ri, rule, meta, pos+1, binding, deltaFacts, deltaLit, emit)
+		} else {
+			vals[st.slot] = v
 		}
-		binding[l.Var] = v
-		err = e.evalBody(ec, ri, rule, meta, pos+1, binding, deltaFacts, deltaLit, emit)
-		delete(binding, l.Var)
-		return err
+		return e.evalBody(ec, run, pos+1)
 
 	case LitAgg:
-		v, err := e.evalExpr(l.AggValue, binding)
+		v, err := st.expr.eval(e.builtins, vals)
 		if err != nil {
 			return err
 		}
 		fv, ok := toFloat(v)
 		if !ok {
-			return fmt.Errorf("datalog: rule %q: aggregate value %v is not numeric", rule.Label, v)
+			return fmt.Errorf("datalog: rule %q: aggregate value %v is not numeric", run.rule.Label, v)
 		}
-		groupKey, err := e.groupKey(ri, rule, meta, binding)
+		groupKey, err := groupKey(run, vals)
 		if err != nil {
 			return err
 		}
-		contribKey := fmt.Sprintf("r%d|%s", ri, contributorKey(l.Contributors, binding))
-		total, changed := e.updateAgg(ri, groupKey, l.Agg, contribKey, fv)
+		total, changed := e.updateAgg(groupKey, st.agg, contributorKey(run.meta.contrib, st.contrib, vals), fv)
 		if !changed {
 			// The contribution is absorbed without a new derivation, but its
 			// premises still belong to the group's explanation.
@@ -1225,64 +1296,52 @@ func (e *Engine) evalBody(ec *evalCtx, ri int, rule Rule, meta ruleMeta, pos int
 		}
 		var savedExtra []Fact
 		if e.prov != nil {
-			st := e.aggState[groupKey]
+			ag := e.aggState[groupKey]
 			savedExtra = ec.aggExtra
 			// Prior contributions explain the running total; the current
 			// body facts are on curPremises already.
-			ec.aggExtra = append(append([]Fact(nil), savedExtra...), st.premises...)
+			ec.aggExtra = append(append([]Fact(nil), savedExtra...), ag.premises...)
 			e.recordAggPremises(ec, groupKey)
 		}
-		binding[l.Var] = total
-		err = e.evalBody(ec, ri, rule, meta, pos+1, binding, deltaFacts, deltaLit, emit)
-		delete(binding, l.Var)
+		vals[st.slot] = total
+		err = e.evalBody(ec, run, pos+1)
 		if e.prov != nil {
 			ec.aggExtra = savedExtra
 		}
 		return err
 	}
-	return fmt.Errorf("datalog: unknown literal kind %d", l.Kind)
+	return fmt.Errorf("datalog: unknown literal kind %d", st.kind)
 }
 
-// fireHead instantiates the head atoms under the binding, inventing nulls for
+// fireHead instantiates the head atoms from the slots, inventing nulls for
 // existential variables.
-func (e *Engine) fireHead(ec *evalCtx, ri int, rule Rule, meta ruleMeta, binding map[Variable]any, emit emitFn) error {
+func (e *Engine) fireHead(ec *evalCtx, run *jobRun) error {
+	meta := run.meta
 	var frontier string
-	if len(meta.existVars) > 0 {
-		frontier = frontierKey(ri, meta.headVars, binding)
-	}
-	for _, h := range rule.Head {
-		args := make([]any, len(h.Terms))
-		for i, t := range h.Terms {
-			switch tt := t.(type) {
-			case Constant:
-				args[i] = tt.Value
-			case Variable:
-				if v, ok := binding[tt]; ok {
-					args[i] = v
-				} else if meta.existVars[tt] {
-					args[i] = Null{ID: hashKey(frontier + "|" + string(tt))}
-				} else {
-					return fmt.Errorf("datalog: rule %q: head variable %s unbound", rule.Label, tt)
+	for _, h := range meta.head {
+		args := make([]any, len(h.args))
+		for i, a := range h.args {
+			switch a.slot {
+			case argConst:
+				args[i] = a.val
+			case argExist:
+				if frontier == "" {
+					fv := make([]any, len(meta.frontier))
+					for k, s := range meta.frontier {
+						fv[k] = run.vals[s]
+					}
+					frontier = frontierKey(run.ri, meta.frontierVars, fv)
 				}
+				args[i] = Null{ID: hashKey(frontier + "|" + string(a.v))}
+			case argUnbound:
+				return fmt.Errorf("datalog: rule %q: head variable %s unbound", run.rule.Label, a.v)
+			default:
+				args[i] = run.vals[a.slot]
 			}
 		}
-		emit(Fact{Pred: h.Pred, Args: args}, ec)
+		run.emit(Fact{Pred: h.pred, Args: args}, ec)
 	}
 	return nil
-}
-
-func frontierKey(ri int, headVars []Variable, binding map[Variable]any) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "r%d", ri)
-	for _, v := range headVars {
-		if val, ok := binding[v]; ok {
-			sb.WriteByte('|')
-			sb.WriteString(string(v))
-			sb.WriteByte('=')
-			appendValue(&sb, val)
-		}
-	}
-	return sb.String()
 }
 
 // groupKey identifies the aggregation group of a body match: the head atom's
@@ -1291,39 +1350,35 @@ func frontierKey(ri int, headVars []Variable, binding map[Variable]any) string {
 // one total, as the paper requires for Algorithm 8 ("the two monotonic
 // summations of Rules (2) and (3) contribute to the same total, one for each
 // (F, y) pair").
-func (e *Engine) groupKey(ri int, rule Rule, meta ruleMeta, binding map[Variable]any) (string, error) {
-	h := rule.Head[meta.aggHead]
+func groupKey(run *jobRun, vals []any) (string, error) {
 	var sb strings.Builder
-	sb.WriteString(h.Pred)
-	for i, t := range h.Terms {
+	sb.WriteString(run.rule.Head[run.meta.aggHead].Pred)
+	for _, a := range run.meta.group {
 		sb.WriteByte('|')
-		if meta.aggSkip[i] {
+		switch a.slot {
+		case argTarget:
 			sb.WriteByte('@') // target position: excluded from the group
-			continue
-		}
-		switch tt := t.(type) {
-		case Constant:
-			appendValue(&sb, tt.Value)
-		case Variable:
-			val, ok := binding[tt]
-			if !ok {
-				return "", fmt.Errorf("datalog: rule %q: aggregation group variable %s unbound", rule.Label, tt)
-			}
-			appendValue(&sb, val)
+		case argConst:
+			appendValue(&sb, a.val)
+		case argExist, argUnbound:
+			return "", fmt.Errorf("datalog: rule %q: aggregation group variable %s unbound", run.rule.Label, a.v)
+		default:
+			appendValue(&sb, vals[a.slot])
 		}
 	}
 	return sb.String(), nil
 }
 
-func contributorKey(vars []Variable, binding map[Variable]any) string {
+// contributorKey identifies one contributor of an aggregate: the rule's
+// prefix plus the contributor values.
+func contributorKey(prefix string, slots []int, vals []any) string {
 	var sb strings.Builder
-	for i, v := range vars {
+	sb.WriteString(prefix)
+	for i, s := range slots {
 		if i > 0 {
 			sb.WriteByte('|')
 		}
-		if val, ok := binding[v]; ok {
-			appendValue(&sb, val)
-		}
+		appendValue(&sb, vals[s])
 	}
 	return sb.String()
 }
@@ -1351,7 +1406,7 @@ func (e *Engine) recordAggPremises(ec *evalCtx, groupKey string) {
 // trigger a derivation. Contributions are keyed by contributor tuple: a
 // contributor counts once, at its best (maximal) contribution so far —
 // matching Vadalog's stateful msum with ⟨contributor⟩ notation.
-func (e *Engine) updateAgg(ri int, groupKey string, op AggOp, contribKey string, v float64) (float64, bool) {
+func (e *Engine) updateAgg(groupKey string, op AggOp, contribKey string, v float64) (float64, bool) {
 	key := groupKey
 	st, ok := e.aggState[key]
 	if !ok {
@@ -1417,50 +1472,61 @@ func (e *Engine) updateAgg(ri int, groupKey string, op AggOp, contribKey string,
 	return 0, false
 }
 
-// lookup returns candidate facts for an atom under the current binding,
+// candidates is what lookup found for an atom: the facts themselves, or,
+// when idx is non-nil, positions into facts (an index bucket, iterated in
+// place). A snapshot: facts inserted after the lookup are not visited.
+type candidates struct {
+	facts []Fact
+	idx   []int
+}
+
+func (c candidates) len() int {
+	if c.idx != nil {
+		return len(c.idx)
+	}
+	return len(c.facts)
+}
+
+func (c candidates) at(k int) Fact {
+	if c.idx != nil {
+		return c.facts[c.idx[k]]
+	}
+	return c.facts[k]
+}
+
+// lookup returns candidate facts for an atom under the current slots,
 // probing the best available positional index: the smallest bucket among
 // built indexes of bound positions, or a freshly built index on the first
 // bound position when none exists yet. Unbound atoms (or NoIndex mode) fall
 // back to the full relation.
-func (e *Engine) lookup(a Atom, binding map[Variable]any) []Fact {
-	r, ok := e.rels[a.Pred]
+func (e *Engine) lookup(a *atomOp, vals []any) candidates {
+	r, ok := e.rels[a.pred]
 	if !ok {
-		return nil
+		return candidates{}
 	}
 	st := e.stats
 	if e.opts.NoIndex {
 		if st != nil {
 			st.indexScans.Add(1)
 		}
-		return r.facts
+		return candidates{facts: r.facts}
 	}
 	bestPos, bestLen := -1, -1
-	var bestKey string
+	var bestBucket []int
 	firstBound := -1
-	var firstKey string
-	for i, t := range a.Terms {
-		if i >= len(r.index) || i >= 64 {
+	var firstKey any
+	for _, c := range a.checks[:a.nprobe] {
+		if c.pos >= len(r.index) || c.pos >= 64 {
 			break
 		}
-		var val any
-		switch tt := t.(type) {
-		case Constant:
-			val = tt.Value
-		case Variable:
-			v, bound := binding[tt]
-			if !bound {
-				continue
-			}
-			val = v
-		}
-		k := encodeValue(val)
+		k := indexKey(c.value(vals))
 		if firstBound == -1 {
-			firstBound, firstKey = i, k
+			firstBound, firstKey = c.pos, k
 		}
-		if r.hasIndex(i) {
-			n := len(r.bucket(i, k))
-			if bestPos == -1 || n < bestLen {
-				bestPos, bestLen, bestKey = i, n, k
+		if r.hasIndex(c.pos) {
+			b := r.bucket(c.pos, k)
+			if bestPos == -1 || len(b) < bestLen {
+				bestPos, bestLen, bestBucket = c.pos, len(b), b
 			}
 		}
 	}
@@ -1471,149 +1537,76 @@ func (e *Engine) lookup(a Atom, binding map[Variable]any) []Fact {
 			st.indexBuilds.Add(1)
 		}
 		if r.hasIndex(firstBound) {
-			bestPos, bestKey = firstBound, firstKey
+			bestPos, bestBucket = firstBound, r.bucket(firstBound, firstKey)
 		}
 	}
 	if bestPos >= 0 {
 		if st != nil {
 			st.indexHits.Add(1)
 		}
-		idxs := r.bucket(bestPos, bestKey)
-		if len(idxs) == 0 {
-			return nil
+		if len(bestBucket) == 0 {
+			return candidates{}
 		}
-		out := make([]Fact, len(idxs))
-		for j, i := range idxs {
-			out[j] = r.facts[i]
-		}
-		return out
+		return candidates{facts: r.facts, idx: bestBucket}
 	}
 	if st != nil {
 		st.indexScans.Add(1)
 	}
-	return r.facts
+	return candidates{facts: r.facts}
 }
 
-// existsMatch reports whether any stored fact unifies with the (fully bound)
+// existsMatch reports whether any stored fact matches the (fully bound)
 // atom.
-func (e *Engine) existsMatch(a Atom, binding map[Variable]any) bool {
-	for _, f := range e.lookup(a, binding) {
-		if undo, ok := bindAtom(a, f, binding); ok {
-			undo(binding)
+func (e *Engine) existsMatch(ec *evalCtx, a *atomOp, vals []any) bool {
+	cs := e.lookup(a, vals)
+	for k := 0; k < cs.len(); k++ {
+		ec.probes++
+		if a.unify(cs.at(k), vals) {
+			ec.matches++
 			return true
 		}
 	}
 	return false
 }
 
-// bindAtom unifies an atom with a fact under the binding. On success it
-// returns an undo function restoring the binding.
-func bindAtom(a Atom, f Fact, binding map[Variable]any) (func(map[Variable]any), bool) {
-	if len(a.Terms) != len(f.Args) || a.Pred != f.Pred {
-		return nil, false
-	}
-	var added []Variable
-	undo := func(b map[Variable]any) {
-		for _, v := range added {
-			delete(b, v)
+// applyBin applies a binary arithmetic operator: numeric operands compute,
+// '+' on anything else concatenates.
+func applyBin(op byte, lv, rv any) (any, error) {
+	lf, lok := toFloat(lv)
+	rf, rok := toFloat(rv)
+	if !lok || !rok {
+		if op == '+' {
+			// String concatenation.
+			return fmt.Sprintf("%v%v", lv, rv), nil
 		}
+		return nil, fmt.Errorf("datalog: arithmetic on non-numeric values %v, %v", lv, rv)
 	}
-	for i, t := range a.Terms {
-		switch tt := t.(type) {
-		case Constant:
-			if !valueEqual(tt.Value, f.Args[i]) {
-				undo(binding)
-				return nil, false
-			}
-		case Variable:
-			if tt == "_" {
-				continue
-			}
-			if v, bound := binding[tt]; bound {
-				if !valueEqual(v, f.Args[i]) {
-					undo(binding)
-					return nil, false
-				}
-			} else {
-				binding[tt] = f.Args[i]
-				added = append(added, tt)
-			}
+	switch op {
+	case '+':
+		return lf + rf, nil
+	case '-':
+		return lf - rf, nil
+	case '*':
+		return lf * rf, nil
+	case '/':
+		if rf == 0 {
+			return nil, fmt.Errorf("datalog: division by zero")
 		}
+		return lf / rf, nil
 	}
-	return undo, true
+	return nil, fmt.Errorf("datalog: unknown operator %q", op)
 }
 
-// evalExpr evaluates an expression under a binding. It delegates to
-// evalExprWith so the test-only reference evaluator shares builtin dispatch
-// without sharing the join machinery under test.
-func (e *Engine) evalExpr(ex Expr, binding map[Variable]any) (any, error) {
-	return evalExprWith(e.builtins, ex, binding)
-}
-
-// evalExprWith evaluates an expression under a binding with an explicit
-// builtin table.
-func evalExprWith(builtins map[string]Builtin, ex Expr, binding map[Variable]any) (any, error) {
-	switch x := ex.(type) {
-	case TermExpr:
-		switch t := x.Term.(type) {
-		case Constant:
-			return t.Value, nil
-		case Variable:
-			v, ok := binding[t]
-			if !ok {
-				return nil, fmt.Errorf("datalog: unbound variable %s in expression", t)
-			}
-			return v, nil
-		}
-	case BinExpr:
-		lv, err := evalExprWith(builtins, x.L, binding)
-		if err != nil {
-			return nil, err
-		}
-		rv, err := evalExprWith(builtins, x.R, binding)
-		if err != nil {
-			return nil, err
-		}
-		lf, lok := toFloat(lv)
-		rf, rok := toFloat(rv)
-		if !lok || !rok {
-			if x.Op == '+' {
-				// String concatenation.
-				return fmt.Sprintf("%v%v", lv, rv), nil
-			}
-			return nil, fmt.Errorf("datalog: arithmetic on non-numeric values %v, %v", lv, rv)
-		}
-		switch x.Op {
-		case '+':
-			return lf + rf, nil
-		case '-':
-			return lf - rf, nil
-		case '*':
-			return lf * rf, nil
-		case '/':
-			if rf == 0 {
-				return nil, fmt.Errorf("datalog: division by zero")
-			}
-			return lf / rf, nil
-		}
-	case CallExpr:
-		args := make([]any, len(x.Args))
-		for i, a := range x.Args {
-			v, err := evalExprWith(builtins, a, binding)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		if fn, ok := builtins[x.Name]; ok {
-			return fn(args)
-		}
-		if strings.HasPrefix(x.Name, "sk") {
-			return NewSkolem(x.Name, args...), nil
-		}
-		return nil, fmt.Errorf("datalog: unknown builtin #%s", x.Name)
+// applyCall applies the builtin name to evaluated arguments; unregistered
+// names starting with "sk" apply a Skolem function.
+func applyCall(builtins map[string]Builtin, name string, args []any) (any, error) {
+	if fn, ok := builtins[name]; ok {
+		return fn(args)
 	}
-	return nil, fmt.Errorf("datalog: bad expression %v", ex)
+	if strings.HasPrefix(name, "sk") {
+		return NewSkolem(name, args...), nil
+	}
+	return nil, fmt.Errorf("datalog: unknown builtin #%s", name)
 }
 
 func toFloat(v any) (float64, bool) {
@@ -1665,162 +1658,6 @@ func compare(op CmpOp, l, r any) bool {
 		return ls >= rs
 	}
 	return false
-}
-
-// planRule computes the evaluation plan: a greedy literal order (atoms as
-// they appear; assignments, conditions, negations and aggregates as soon as
-// their inputs are bound, aggregates after everything else they need), the
-// head variables, and the existential set.
-func planRule(r Rule) (ruleMeta, error) {
-	n := len(r.Body)
-	used := make([]bool, n)
-	bound := make(map[Variable]bool)
-	var order []int
-	aggIdx := -1
-
-	ready := func(l Literal) bool {
-		switch l.Kind {
-		case LitAtom:
-			return true
-		case LitAssign:
-			set := map[Variable]bool{}
-			l.Expr.vars(set)
-			for v := range set {
-				if !bound[v] {
-					return false
-				}
-			}
-			return true
-		case LitCmp:
-			set := map[Variable]bool{}
-			l.Left.vars(set)
-			l.Right.vars(set)
-			for v := range set {
-				if !bound[v] {
-					return false
-				}
-			}
-			return true
-		case LitNot:
-			set := map[Variable]bool{}
-			bodyVarsOfAtom(l.Atom, set)
-			for v := range set {
-				if !bound[v] {
-					return false
-				}
-			}
-			return true
-		case LitAgg:
-			set := map[Variable]bool{}
-			l.AggValue.vars(set)
-			for _, c := range l.Contributors {
-				set[c] = true
-			}
-			for v := range set {
-				if !bound[v] {
-					return false
-				}
-			}
-			return true
-		}
-		return false
-	}
-	markBound := func(l Literal) {
-		switch l.Kind {
-		case LitAtom:
-			bodyVarsOfAtom(l.Atom, bound)
-		case LitAssign, LitAgg:
-			bound[l.Var] = true
-		}
-	}
-
-	for len(order) < n {
-		progress := false
-		// Prefer non-atom literals that are ready (cheap filters first),
-		// except aggregates, which run as late as possible.
-		for pass := 0; pass < 3 && len(order) < n; pass++ {
-			for i := 0; i < n; i++ {
-				if used[i] {
-					continue
-				}
-				l := r.Body[i]
-				switch pass {
-				case 0: // ready filters/assignments
-					if (l.Kind == LitCmp || l.Kind == LitAssign || l.Kind == LitNot) && ready(l) {
-						used[i] = true
-						order = append(order, i)
-						markBound(l)
-						progress = true
-					}
-				case 1: // next positive atom in textual order
-					if l.Kind == LitAtom {
-						used[i] = true
-						order = append(order, i)
-						markBound(l)
-						progress = true
-						pass = -1 // restart filter pass after each atom
-					}
-				case 2: // aggregates once everything else is in place
-					if l.Kind == LitAgg && ready(l) {
-						used[i] = true
-						order = append(order, i)
-						markBound(l)
-						aggIdx = len(order) - 1
-						progress = true
-					}
-				}
-				if pass == -1 {
-					break
-				}
-			}
-		}
-		if !progress {
-			return ruleMeta{}, fmt.Errorf("cannot order body literals (unbound inputs): %s", r)
-		}
-	}
-
-	headVarSet := make(map[Variable]bool)
-	for _, h := range r.Head {
-		bodyVarsOfAtom(h, headVarSet)
-	}
-	var headVars []Variable
-	exist := make(map[Variable]bool)
-	for v := range headVarSet {
-		if bound[v] {
-			headVars = append(headVars, v)
-		} else {
-			exist[v] = true
-		}
-	}
-	sort.Slice(headVars, func(i, j int) bool { return headVars[i] < headVars[j] })
-
-	aggHead := 0
-	aggSkip := map[int]bool{}
-	if aggIdx >= 0 {
-		target := r.Body[order[aggIdx]].Var
-		// The group is defined by the first head atom mentioning the target;
-		// if none mentions it (e.g. the msum only feeds a condition, as in
-		// Algorithm 5), the whole first head atom is the group.
-		for hi, h := range r.Head {
-			mentions := false
-			for _, t := range h.Terms {
-				if v, ok := t.(Variable); ok && v == target {
-					mentions = true
-					break
-				}
-			}
-			if mentions {
-				aggHead = hi
-				break
-			}
-		}
-		for i, t := range r.Head[aggHead].Terms {
-			if v, ok := t.(Variable); ok && v == target {
-				aggSkip[i] = true
-			}
-		}
-	}
-	return ruleMeta{order: order, headVars: headVars, existVars: exist, aggIdx: aggIdx, aggHead: aggHead, aggSkip: aggSkip}, nil
 }
 
 // stratify partitions rules into strata such that negated predicates are

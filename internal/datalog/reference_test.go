@@ -3,11 +3,12 @@ package datalog
 // The reference evaluator: a deliberately naive Datalog± interpreter used as
 // the differential-testing oracle for the indexed, parallel production
 // engine. It re-implements matching and fixpoint computation from scratch —
-// full linear scans for every candidate lookup, copied binding maps instead
-// of undo closures, canonical-encoding string comparison instead of
-// valueEqual — so a bug in the engine's index maintenance, delta
-// restriction, buffered merge, or typed equality shows up as a fact-set
-// divergence rather than being mirrored by shared code.
+// full linear scans for every candidate lookup, copied name-keyed binding
+// maps instead of compiled slots, a tree-walking expression evaluator,
+// canonical-encoding string comparison instead of valueEqual — so a bug in
+// the engine's index maintenance, delta-first plans, slot compilation,
+// buffered merge, or typed equality shows up as a fact-set divergence
+// rather than being mirrored by shared code.
 //
 // The reference deliberately shares three things with the engine, all of
 // which are specification rather than execution machinery:
@@ -18,8 +19,8 @@ package datalog
 //   - frontierKey/hashKey, so invented nulls coincide — the chase is
 //     deterministic, and the paper's set semantics makes null identity part
 //     of the expected output;
-//   - evalExprWith, the arithmetic/builtin evaluator, which is orthogonal to
-//     the join path under test.
+//   - applyBin/applyCall, the arithmetic and builtin semantics, which are
+//     orthogonal to the join path under test.
 //
 // Monotonic aggregation is out of scope (the random programs never emit it);
 // newReference rejects aggregate rules loudly.
@@ -195,7 +196,15 @@ func (r *refEvaluator) run() error {
 				for _, b := range bindings {
 					var frontier string
 					if len(meta.existVars) > 0 {
-						frontier = frontierKey(ri, meta.headVars, b)
+						var vars []Variable
+						var vals []any
+						for _, v := range meta.headVars {
+							if val, ok := b[v]; ok {
+								vars = append(vars, v)
+								vals = append(vals, val)
+							}
+						}
+						frontier = frontierKey(ri, vars, vals)
 					}
 					for _, h := range rule.Head {
 						args := make([]any, len(h.Terms))
@@ -235,4 +244,42 @@ func (r *refEvaluator) factSet(preds []string) []string {
 	}
 	sortStrings(out)
 	return out
+}
+
+// evalExprWith evaluates an expression tree under a name-keyed binding.
+func evalExprWith(builtins map[string]Builtin, ex Expr, binding map[Variable]any) (any, error) {
+	switch x := ex.(type) {
+	case TermExpr:
+		switch t := x.Term.(type) {
+		case Constant:
+			return t.Value, nil
+		case Variable:
+			v, ok := binding[t]
+			if !ok {
+				return nil, fmt.Errorf("reference: unbound variable %s in expression", t)
+			}
+			return v, nil
+		}
+	case BinExpr:
+		lv, err := evalExprWith(builtins, x.L, binding)
+		if err != nil {
+			return nil, err
+		}
+		rv, err := evalExprWith(builtins, x.R, binding)
+		if err != nil {
+			return nil, err
+		}
+		return applyBin(x.Op, lv, rv)
+	case CallExpr:
+		args := make([]any, len(x.Args))
+		for i, a := range x.Args {
+			v, err := evalExprWith(builtins, a, binding)
+			if err != nil {
+				return nil, err
+			}
+			args[i] = v
+		}
+		return applyCall(builtins, x.Name, args)
+	}
+	return nil, fmt.Errorf("reference: bad expression %v", ex)
 }

@@ -53,6 +53,12 @@ type RuleStats struct {
 	// parallel chase jobs overlap, so the per-rule times can sum to more
 	// than the wall clock.
 	EvalNanos int64 `json:"evalNanos"`
+	// Probes counts the candidate facts the rule's jobs tried to unify with
+	// a body atom (index buckets, scanned relations and delta facts alike);
+	// Matches counts those that unified. A join that probes far more than
+	// it matches is scanning for what an index should have found.
+	Probes  int64 `json:"probes"`
+	Matches int64 `json:"matches"`
 }
 
 // RoundStats describes one semi-naive round.
@@ -77,6 +83,9 @@ type ChaseStats struct {
 	// absorbed as already known, across all rules.
 	Derived    int `json:"derived"`
 	Duplicates int `json:"duplicates"`
+	// Probes and Matches total the per-rule join counters (see RuleStats).
+	Probes  int64 `json:"probes"`
+	Matches int64 `json:"matches"`
 	// TotalNanos is the wall-clock time of the Run.
 	TotalNanos int64 `json:"totalNanos"`
 
@@ -173,6 +182,10 @@ func (st *statsCollector) snapshot(e *Engine) *ChaseStats {
 		Rules:           append([]RuleStats(nil), st.rules...),
 		PerRound:        append([]RoundStats(nil), st.perRound...),
 	}
+	for _, rs := range out.Rules {
+		out.Probes += rs.Probes
+		out.Matches += rs.Matches
+	}
 	if out.Workers < 1 {
 		out.Workers = 1
 	}
@@ -209,26 +222,35 @@ func (e *Engine) ruleStart(ri int) time.Time {
 	return time.Now()
 }
 
+// jobCounts is what one finished chase job did: facts inserted, emissions
+// absorbed as duplicates, and its join probes and matches.
+type jobCounts struct {
+	derived, dups   int
+	probes, matches int64
+}
+
 // ruleDone folds one finished chase job into the per-rule statistics and
 // fires the RuleDone hook. Called only on the goroutine driving the chase.
-func (e *Engine) ruleDone(ri int, t0 time.Time, derived, duplicates int) {
+func (e *Engine) ruleDone(ri int, t0 time.Time, c jobCounts) {
 	if t0.IsZero() {
 		return
 	}
-	e.ruleDoneNanos(ri, int64(time.Since(t0)), derived, duplicates)
+	e.ruleDoneNanos(ri, int64(time.Since(t0)), c)
 }
 
 // ruleDoneNanos is ruleDone for jobs whose duration was measured elsewhere
 // (parallel workers time their own jobs; the merge applies the result here).
-func (e *Engine) ruleDoneNanos(ri int, nanos int64, derived, duplicates int) {
+func (e *Engine) ruleDoneNanos(ri int, nanos int64, c jobCounts) {
 	if st := e.stats; st != nil {
 		rs := &st.rules[ri]
 		rs.Firings++
-		rs.Derived += derived
-		rs.Duplicates += duplicates
+		rs.Derived += c.derived
+		rs.Duplicates += c.dups
 		rs.EvalNanos += nanos
+		rs.Probes += c.probes
+		rs.Matches += c.matches
 	}
 	if fn := e.opts.Hook.RuleDone; fn != nil {
-		fn(e.ruleMeta[ri].label, e.rounds, derived, duplicates, time.Duration(nanos))
+		fn(e.ruleMeta[ri].label, e.rounds, c.derived, c.dups, time.Duration(nanos))
 	}
 }

@@ -318,3 +318,50 @@ func TestTopRules(t *testing.T) {
 		t.Errorf("TopRules on empty stats = %v", got)
 	}
 }
+
+// TestChaseStatsProbesAndMatches checks that Probes and Matches expose a
+// join's waste. The two relations line up one to one on K, so a join that
+// finds its partners through the index matches every probe; the same join
+// without indexes scans b once per a fact (n² probes for n matches, the
+// shape of a delta scanned at the wrong position); and two atoms that share
+// no variable unify every candidate, so a later comparison that throws the
+// cross product away shows as Matches far above Derived.
+func TestChaseStatsProbesAndMatches(t *testing.T) {
+	const n = 100
+	var edb []Fact
+	for i := 0; i < n; i++ {
+		edb = append(edb,
+			Fact{Pred: "a", Args: []any{int64(i), int64(i)}},
+			Fact{Pred: "b", Args: []any{int64(i), int64(i)}})
+	}
+	run := func(src string, opts ...Option) *ChaseStats {
+		t.Helper()
+		e, err := NewEngine(MustParse(src), append(opts, WithStats(), WithParallel(1))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.AssertAll(edb)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		st := e.Stats()
+		if len(st.Rules) != 1 || st.Rules[0].Probes != st.Probes || st.Rules[0].Matches != st.Matches {
+			t.Fatalf("totals %d/%d disagree with the rule rows %+v", st.Probes, st.Matches, st.Rules)
+		}
+		if st.Derived != n {
+			t.Fatalf("derived %d facts, want %d", st.Derived, n)
+		}
+		return st
+	}
+
+	const join = "a(X, K), b(K, Y) -> c(X, Y)."
+	if st := run(join); st.Probes != 2*n || st.Matches != 2*n {
+		t.Errorf("indexed join: probes/matches = %d/%d, want %d/%d", st.Probes, st.Matches, 2*n, 2*n)
+	}
+	if st := run(join, WithNoIndex()); st.Probes != n+n*n || st.Matches != 2*n {
+		t.Errorf("scanned join: probes/matches = %d/%d, want %d/%d", st.Probes, st.Matches, n+n*n, 2*n)
+	}
+	if st := run("a(X, K), b(K2, Y), K == K2 -> c(X, Y)."); st.Probes != n+n*n || st.Matches != n+n*n {
+		t.Errorf("comparison join: probes/matches = %d/%d, want %d/%d", st.Probes, st.Matches, n+n*n, n+n*n)
+	}
+}

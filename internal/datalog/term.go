@@ -242,6 +242,24 @@ func hashKey(s string) uint64 {
 }
 
 // SortFacts orders facts by their canonical keys, for deterministic output.
+// Each key is built once, not once per comparison.
 func SortFacts(fs []Fact) {
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Key() < fs[j].Key() })
+	keys := make([]string, len(fs))
+	for i, f := range fs {
+		keys[i] = f.Key()
+	}
+	sort.Sort(factsByKey{keys, fs})
+}
+
+// factsByKey sorts facts and their precomputed keys together.
+type factsByKey struct {
+	keys  []string
+	facts []Fact
+}
+
+func (s factsByKey) Len() int           { return len(s.keys) }
+func (s factsByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s factsByKey) Swap(i, j int) {
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	s.facts[i], s.facts[j] = s.facts[j], s.facts[i]
 }

@@ -102,11 +102,14 @@ func diffPairSets(t *testing.T, what string, got, want map[Pair]bool) {
 // Three-way agreement separates failure modes: scoped != unscoped blames the
 // affected-cone scoping or the accown seeding; unscoped != oracle blames the
 // overlay view itself (a read accessor lying about the composite graph).
+//
+// After the 110 small cases come a handful of Italian graphs of 300–1,000
+// companies, where long ownership chains and share cycles make the accown
+// fixpoint and the scoped cones non-trivial.
 func TestDifferentialWhatIf(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential harness is not short")
 	}
-	ctx := context.Background()
 	thresholds := []float64{0.1, 0.2, 0.3}
 
 	const cases = 110
@@ -131,58 +134,75 @@ func TestDifferentialWhatIf(t *testing.T) {
 			continue
 		}
 		ran++
-
-		name := fmt.Sprintf("case %d (t=%v, %d ops, %d nodes)", i, threshold, len(ops), base.NumNodes())
-
-		bl, err := ComputeBaseline(ctx, base, threshold)
-		if err != nil {
-			t.Fatalf("%s: baseline: %v", name, err)
-		}
-		scoped, err := Evaluate(ctx, base, bl, ops, Options{Threshold: threshold})
-		if err != nil {
-			t.Fatalf("%s: scoped: %v", name, err)
-		}
-		unscoped, err := Evaluate(ctx, base, bl, ops, Options{Threshold: threshold, NoScope: true})
-		if err != nil {
-			t.Fatalf("%s: unscoped: %v", name, err)
-		}
-
-		// Oracle: deep-copy the composite into a standalone graph and chase
-		// it from scratch.
-		o := pg.NewOverlay(base)
-		if _, _, err := Apply(o, ops); err != nil {
-			t.Fatalf("%s: re-apply: %v", name, err)
-		}
-		flat, err := pg.Flatten(o)
-		if err != nil {
-			t.Fatalf("%s: flatten: %v", name, err)
-		}
-		oracle, err := ComputeBaseline(ctx, flat, threshold)
-		if err != nil {
-			t.Fatalf("%s: oracle chase: %v", name, err)
-		}
-
-		diffPairSets(t, name+": scoped vs unscoped control", scoped.Control, unscoped.Control)
-		diffPairSets(t, name+": scoped vs unscoped closelink", scoped.CloseLink, unscoped.CloseLink)
-		diffPairSets(t, name+": unscoped vs oracle control", unscoped.Control, oracle.Control)
-		diffPairSets(t, name+": unscoped vs oracle closelink", unscoped.CloseLink, oracle.CloseLink)
-		diffPairSets(t, name+": scoped vs oracle control", scoped.Control, oracle.Control)
-		diffPairSets(t, name+": scoped vs oracle closelink", scoped.CloseLink, oracle.CloseLink)
-
-		// The reported diffs must be exactly the set differences.
-		checkDiff(t, name+": control diff", bl.Control, scoped.Control, scoped.ControlGained, scoped.ControlLost)
-		checkDiff(t, name+": closelink diff", bl.CloseLink, scoped.CloseLink, scoped.CloseLinkGained, scoped.CloseLinkLost)
-
-		if scoped.AffectedSources > unscoped.AffectedSources {
-			t.Errorf("%s: scoped touched %d sources, more than unscoped's %d",
-				name, scoped.AffectedSources, unscoped.AffectedSources)
-		}
-		if t.Failed() {
-			t.Fatalf("%s: stopping after first divergence", name)
-		}
+		differentialCase(t, fmt.Sprintf("case %d", i), base, threshold, ops)
 	}
 	if ran < 100 {
 		t.Fatalf("only %d effective cases ran, want >= 100", ran)
+	}
+
+	for i, n := range []int{300, 450, 600, 800, 1000} {
+		rng := rand.New(rand.NewSource(int64(5000 + i)))
+		base := graphgen.NewItalian(graphgen.ItalianConfig{Companies: n, Persons: n / 2, Seed: int64(7 + i)}).Graph
+		ops := randomOps(rng, base)
+		if len(ops) == 0 {
+			t.Fatalf("large case %d: no applicable ops", i)
+		}
+		differentialCase(t, fmt.Sprintf("large case %d", i), base, thresholds[i%len(thresholds)], ops)
+	}
+}
+
+// differentialCase runs one scenario three ways — scoped, unscoped, and the
+// flatten-and-re-chase oracle — and fails the test on any disagreement.
+func differentialCase(t *testing.T, label string, base *pg.Graph, threshold float64, ops []Op) {
+	t.Helper()
+	ctx := context.Background()
+	name := fmt.Sprintf("%s (t=%v, %d ops, %d nodes)", label, threshold, len(ops), base.NumNodes())
+
+	bl, err := ComputeBaseline(ctx, base, threshold)
+	if err != nil {
+		t.Fatalf("%s: baseline: %v", name, err)
+	}
+	scoped, err := Evaluate(ctx, base, bl, ops, Options{Threshold: threshold})
+	if err != nil {
+		t.Fatalf("%s: scoped: %v", name, err)
+	}
+	unscoped, err := Evaluate(ctx, base, bl, ops, Options{Threshold: threshold, NoScope: true})
+	if err != nil {
+		t.Fatalf("%s: unscoped: %v", name, err)
+	}
+
+	// Oracle: deep-copy the composite into a standalone graph and chase
+	// it from scratch.
+	o := pg.NewOverlay(base)
+	if _, _, err := Apply(o, ops); err != nil {
+		t.Fatalf("%s: re-apply: %v", name, err)
+	}
+	flat, err := pg.Flatten(o)
+	if err != nil {
+		t.Fatalf("%s: flatten: %v", name, err)
+	}
+	oracle, err := ComputeBaseline(ctx, flat, threshold)
+	if err != nil {
+		t.Fatalf("%s: oracle chase: %v", name, err)
+	}
+
+	diffPairSets(t, name+": scoped vs unscoped control", scoped.Control, unscoped.Control)
+	diffPairSets(t, name+": scoped vs unscoped closelink", scoped.CloseLink, unscoped.CloseLink)
+	diffPairSets(t, name+": unscoped vs oracle control", unscoped.Control, oracle.Control)
+	diffPairSets(t, name+": unscoped vs oracle closelink", unscoped.CloseLink, oracle.CloseLink)
+	diffPairSets(t, name+": scoped vs oracle control", scoped.Control, oracle.Control)
+	diffPairSets(t, name+": scoped vs oracle closelink", scoped.CloseLink, oracle.CloseLink)
+
+	// The reported diffs must be exactly the set differences.
+	checkDiff(t, name+": control diff", bl.Control, scoped.Control, scoped.ControlGained, scoped.ControlLost)
+	checkDiff(t, name+": closelink diff", bl.CloseLink, scoped.CloseLink, scoped.CloseLinkGained, scoped.CloseLinkLost)
+
+	if scoped.AffectedSources > unscoped.AffectedSources {
+		t.Errorf("%s: scoped touched %d sources, more than unscoped's %d",
+			name, scoped.AffectedSources, unscoped.AffectedSources)
+	}
+	if t.Failed() {
+		t.Fatalf("%s: stopping after first divergence", name)
 	}
 }
 

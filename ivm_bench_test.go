@@ -9,7 +9,6 @@ package vadalink_test
 import (
 	"context"
 	"fmt"
-	"os"
 	"testing"
 
 	"vadalink/internal/graphgen"
@@ -53,15 +52,6 @@ func ivmWorkload(b *testing.B, n int) (*store.Versioned, *ivm.Maintainer, pg.Edg
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range graphgen.BenchmarkSizes {
-		// The 50k workload needs two full re-chases (one to warm the
-		// maintainer, one as the comparison point), ~50 minutes each on the
-		// reference machine — far too slow for the CI smoke. Like the scan
-		// mode in BenchmarkChase, it only runs on request; the one-off
-		// measurement lives in BENCH_8.json (9.9 ms incremental vs 3149 s
-		// full: ~318000x).
-		if n > 10_000 && os.Getenv("BENCH_IVM_50K") == "" {
-			continue
-		}
 		// The size is the outer sub-benchmark so the warm-up chase in
 		// ivmWorkload only runs for sizes the -bench filter selects.
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
