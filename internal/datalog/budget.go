@@ -30,8 +30,9 @@ type Budget struct {
 	// positional hash indexes the engine builds for join matching (DESIGN.md
 	// §7.1). The estimate counts encoded-key bytes plus per-entry overhead;
 	// it is approximate but monotone. Index memory is cumulative engine
-	// state, so the cap applies across re-runs of one engine. 0 means
-	// unlimited.
+	// state, so the cap applies across re-runs of one engine. Indexes built
+	// on a mounted Base count against the Base, not this cap (see Base).
+	// 0 means unlimited.
 	MaxIndexBytes int
 }
 

@@ -410,8 +410,7 @@ func (e *Engine) bodySatisfiable(ec *evalCtx, steps []step, vals []any, trace *d
 // derived-fact maintenance — use ApplyDelta to keep the fixpoint consistent.
 // Like Assert, it requires exclusive access.
 func (e *Engine) Retract(f Fact) bool {
-	r, ok := e.rels[f.Pred]
-	if !ok || !r.remove(f) {
+	if _, ok := e.rels[f.Pred]; !ok || !e.rel(f.Pred).remove(f) {
 		return false
 	}
 	if e.prov != nil {

@@ -76,6 +76,10 @@ type Options struct {
 	// Hook receives chase lifecycle events (see Hook and WithHook). The
 	// zero Hook is inert.
 	Hook Hook
+
+	// Base, when set, is a frozen extensional database mounted into the
+	// engine at construction (see Base and WithBase).
+	Base *Base
 }
 
 // Derivation explains one derived fact: the rule that fired and the premises
@@ -200,6 +204,10 @@ type relation struct {
 	// the first 64 argument positions are indexable.
 	built atomic.Uint64
 	mu    sync.Mutex
+
+	// frozen marks a relation owned by a Base: shared by every engine that
+	// mounts it and never written (Engine.rel thaws a private copy first).
+	frozen bool
 }
 
 func newRelation() *relation {
@@ -250,6 +258,9 @@ func indexKeyBytes(k any) int {
 // insertion added. Insert requires exclusive access (engine mutation
 // contract).
 func (r *relation) insert(f Fact, k string) (bool, int) {
+	if r.frozen {
+		panic("datalog: insert into a mounted base relation")
+	}
 	if r.keys[k] {
 		return false, 0
 	}
@@ -380,6 +391,11 @@ func NewEngine(prog *Program, options ...Option) (*Engine, error) {
 		return nil, err
 	}
 	e.strata = strata
+	if opts.Base != nil {
+		for pred, r := range opts.Base.rels {
+			e.rels[pred] = r
+		}
+	}
 	return e, nil
 }
 
@@ -406,12 +422,17 @@ func (e *Engine) AssertAll(fs []Fact) {
 	}
 }
 
-// rel returns the relation of pred, creating it if missing. Mutating path
-// only — read paths use the map directly so they never grow it.
+// rel returns the writable relation of pred, creating it if missing and
+// replacing a mounted base relation by a private copy. Mutating path only —
+// read paths use the map directly so they never grow it.
 func (e *Engine) rel(pred string) *relation {
 	r, ok := e.rels[pred]
-	if !ok {
+	switch {
+	case !ok:
 		r = newRelation()
+		e.rels[pred] = r
+	case r.frozen:
+		r = r.thaw()
 		e.rels[pred] = r
 	}
 	return r
@@ -563,13 +584,7 @@ func (e *Engine) chooseIndex(r *relation, pattern []any) (int, any, bool) {
 		return bestPos, bestKey, true
 	}
 	if firstBound >= 0 {
-		bytes, built := r.ensureIndex(firstBound)
-		e.addIndexBytes(bytes)
-		if built {
-			if st := e.stats; st != nil {
-				st.indexBuilds.Add(1)
-			}
-		}
+		e.buildIndex(r, firstBound)
 		if r.hasIndex(firstBound) {
 			return firstBound, firstKey, true
 		}
@@ -1531,11 +1546,7 @@ func (e *Engine) lookup(a *atomOp, vals []any) candidates {
 		}
 	}
 	if bestPos == -1 && firstBound >= 0 {
-		bytes, built := r.ensureIndex(firstBound)
-		e.addIndexBytes(bytes)
-		if built && st != nil {
-			st.indexBuilds.Add(1)
-		}
+		e.buildIndex(r, firstBound)
 		if r.hasIndex(firstBound) {
 			bestPos, bestBucket = firstBound, r.bucket(firstBound, firstKey)
 		}

@@ -209,8 +209,9 @@ func MagicRewrite(prog *Program, goal Atom) (*Demand, error) {
 }
 
 // NewGoalEngine rewrites prog for the goal and prepares an engine over the
-// rewritten program with the magic seed already asserted; callers AssertAll
-// their extensional facts and Run as usual, then Query(goal) for answers.
+// rewritten program with the magic seed already asserted. The extensional
+// facts come from a mounted Base (WithBase) or from the caller's Assert
+// calls; then Run as usual and Query(goal) for answers.
 func NewGoalEngine(prog *Program, goal Atom, opts ...Option) (*Engine, error) {
 	d, err := MagicRewrite(prog, goal)
 	if err != nil {

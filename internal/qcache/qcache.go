@@ -13,15 +13,17 @@
 //
 // Concurrency: lookups and stores take one mutex; misses are single-flight
 // per key, so a thundering herd on a cold hot-key runs one chase, not N.
-// A flush during an in-flight computation orphans the call — waiters still
-// get its result (their requests began before the commit), but the result
-// is not stored, so no reader that arrives after the commit can observe
-// pre-commit state.
+// A flush during an in-flight computation orphans the call — waiters that
+// joined it still get its result (their requests began before the commit),
+// but the result is not stored, and a reader that arrives after the commit
+// starts its own computation instead of joining the orphan, so no reader
+// that arrives after the commit can observe pre-commit state.
 package qcache
 
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 )
 
 // Class partitions entries by what can invalidate them.
@@ -65,6 +67,7 @@ type call struct {
 	done chan struct{}
 	val  []byte
 	seq  uint64
+	tok  Token
 	err  error
 }
 
@@ -77,7 +80,9 @@ type Cache struct {
 	entries  map[string]*entry
 	lru      *list.List // front = most recent; values are *entry
 	inflight map[string]*call
-	gen      uint64 // bumped on every invalidation; stales in-flight calls
+	// gen is bumped under mu on every invalidation, staling in-flight
+	// calls; Token reads it without the lock.
+	gen atomic.Uint64
 
 	hits, misses, evictions, invalidations uint64
 }
@@ -117,12 +122,31 @@ func (c *Cache) Get(key string) ([]byte, uint64, bool) {
 	return e.val, e.seq, true
 }
 
-// Do returns the cached payload for key, or computes, stores, and returns
-// it. seq must be the store sequence the computation reads at. hit reports
-// whether the payload came from the cache (possibly from another goroutine's
+// Token is a cache generation: every invalidation (OnCommit, Flush) moves
+// it on. A reader takes one before it pins the version its computation will
+// read (see DoToken).
+type Token uint64
+
+// Token returns the current generation.
+func (c *Cache) Token() Token { return Token(c.gen.Load()) }
+
+// Do is DoToken with a token taken now, for callers whose computation reads
+// no version pinned earlier.
+func (c *Cache) Do(key string, class Class, seq uint64, compute func() ([]byte, error)) (val []byte, entrySeq uint64, hit bool, err error) {
+	return c.DoToken(c.Token(), key, class, seq, compute)
+}
+
+// DoToken returns the cached payload for key, or computes, stores, and
+// returns it. seq must be the store sequence the computation reads at, and
+// tok a Token taken before that version was pinned: the payload is stored
+// only if no invalidation happened since tok, so an answer computed over a
+// version that a commit or a new root has since replaced never serves later
+// readers. A miss joins a computation already in flight for key only when
+// that computation was started under the same token. hit reports whether the
+// payload came from the cache (possibly from another goroutine's
 // just-finished computation); entrySeq is the sequence the payload answers
 // for. Errors are returned to every waiter and never cached.
-func (c *Cache) Do(key string, class Class, seq uint64, compute func() ([]byte, error)) (val []byte, entrySeq uint64, hit bool, err error) {
+func (c *Cache) DoToken(tok Token, key string, class Class, seq uint64, compute func() ([]byte, error)) (val []byte, entrySeq uint64, hit bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits++
@@ -130,15 +154,14 @@ func (c *Cache) Do(key string, class Class, seq uint64, compute func() ([]byte, 
 		c.mu.Unlock()
 		return e.val, e.seq, true, nil
 	}
-	if cl, ok := c.inflight[key]; ok {
+	if cl, ok := c.inflight[key]; ok && cl.tok == tok {
 		c.mu.Unlock()
 		<-cl.done
 		return cl.val, cl.seq, true, cl.err
 	}
 	c.misses++
-	cl := &call{done: make(chan struct{}), seq: seq}
+	cl := &call{done: make(chan struct{}), seq: seq, tok: tok}
 	c.inflight[key] = cl
-	gen := c.gen
 	c.mu.Unlock()
 
 	cl.val, cl.err = compute()
@@ -148,10 +171,7 @@ func (c *Cache) Do(key string, class Class, seq uint64, compute func() ([]byte, 
 	if c.inflight[key] == cl {
 		delete(c.inflight, key)
 	}
-	// Store only if no invalidation raced the computation: a flush bumps gen,
-	// and a payload computed against the pre-commit view must not serve
-	// post-commit readers.
-	if cl.err == nil && gen == c.gen {
+	if cl.err == nil && uint64(tok) == c.gen.Load() {
 		c.storeLocked(key, cl.val, seq, class)
 	}
 	c.mu.Unlock()
@@ -207,7 +227,7 @@ func (c *Cache) OnCommit(seq uint64, relevant bool) {
 	_ = seq
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gen++
+	c.gen.Add(1)
 	var next *list.Element
 	for el := c.lru.Front(); el != nil; el = next {
 		next = el.Next()
@@ -224,7 +244,7 @@ func (c *Cache) OnCommit(seq uint64, relevant bool) {
 func (c *Cache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gen++
+	c.gen.Add(1)
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
 		c.removeLocked(el.Value.(*entry))

@@ -191,6 +191,55 @@ func TestFlushDuringInflightIsNotStored(t *testing.T) {
 	}
 }
 
+// TestFlushBetweenPinAndComputeIsNotStored covers the window before the
+// computation starts: the reader took its token, pinned its version, and a
+// flush (a replica's new root) landed before DoToken ran. The answer reads
+// the replaced history, so it must not be stored.
+func TestFlushBetweenPinAndComputeIsNotStored(t *testing.T) {
+	c := New(1 << 20)
+	tok := c.Token()
+	c.Flush()
+	v, _, hit, err := c.DoToken(tok, "k", ClassDerived, 5, func() ([]byte, error) { return []byte("stale"), nil })
+	if err != nil || hit || string(v) != "stale" {
+		t.Fatalf("DoToken: v=%q hit=%v err=%v", v, hit, err)
+	}
+	if _, _, ok := c.Get("k"); ok {
+		t.Fatal("an answer over a version pinned before the flush was cached")
+	}
+	if _, _, _, err := c.DoToken(c.Token(), "k", ClassDerived, 6, func() ([]byte, error) { return []byte("fresh"), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if v, seq, ok := c.Get("k"); !ok || string(v) != "fresh" || seq != 6 {
+		t.Fatalf("a current-token answer was not cached: v=%q seq=%d ok=%v", v, seq, ok)
+	}
+}
+
+// TestNewTokenDoesNotJoinOrphanedCall: a reader arriving after a commit must
+// not be handed the in-flight answer computed over the pre-commit version.
+func TestNewTokenDoesNotJoinOrphanedCall(t *testing.T) {
+	c := New(1 << 20)
+	started, finish, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _, _, _ = c.Do("k", ClassDerived, 5, func() ([]byte, error) {
+			close(started)
+			<-finish
+			return []byte("stale"), nil
+		})
+	}()
+	<-started
+	c.OnCommit(6, true)
+	v, seq, hit, err := c.DoToken(c.Token(), "k", ClassDerived, 6, func() ([]byte, error) { return []byte("fresh"), nil })
+	if err != nil || hit || string(v) != "fresh" || seq != 6 {
+		t.Fatalf("post-commit reader: v=%q seq=%d hit=%v err=%v, want its own fresh computation", v, seq, hit, err)
+	}
+	close(finish)
+	<-done
+	if v, _, ok := c.Get("k"); !ok || string(v) != "fresh" {
+		t.Fatalf("cache holds %q (ok=%v), want the post-commit answer", v, ok)
+	}
+}
+
 func TestFlush(t *testing.T) {
 	c := New(1 << 20)
 	c.Put("a", ClassDerived, 1, []byte("x"))

@@ -67,13 +67,15 @@ func replicatedPair(t *testing.T, cfg Config) (*persist.Store, *replication.Foll
 	return st, fl, srv
 }
 
-// waitFollowerSeq polls until the follower has applied through seq.
+// waitFollowerSeq polls until the follower serves reads at seq or later:
+// it watches the published version reads pin, not Follower.Seq, which moves
+// a moment before the replayed version is published.
 func waitFollowerSeq(t *testing.T, fl *replication.Follower, seq int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for fl.Seq() < seq {
+	for int64(fl.Versions().Current().Seq()) < seq {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower stuck at seq %d, want %d (status %+v)", fl.Seq(), seq, fl.Status())
+			t.Fatalf("follower serves seq %d, want %d (status %+v)", fl.Versions().Current().Seq(), seq, fl.Status())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

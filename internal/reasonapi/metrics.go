@@ -100,6 +100,9 @@ type Metrics struct {
 	// misses, evictions, invalidations); absent when Config.QueryCacheBytes
 	// is negative.
 	Cache *qcache.Stats `json:"cache,omitempty"`
+	// Image counts the relational-image builds behind the goal-mode reads
+	// and describes the image of the served version.
+	Image *ImageStats `json:"image,omitempty"`
 }
 
 // serverMetrics is one Server's registry: a fixed route map built at Handler

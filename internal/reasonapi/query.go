@@ -19,17 +19,29 @@ import (
 	"sort"
 
 	"vadalink/internal/datalog"
-	"vadalink/internal/pg"
 	"vadalink/internal/qcache"
+	"vadalink/internal/store"
 	"vadalink/internal/vadalog"
 )
 
-// viewSeq pins the read view for one request together with the sequence
-// number the view answers for. Both come from the same pinned version, so
-// they cannot disagree; on a follower the seq is its WAL position.
-func (s *Server) viewSeq() (pg.View, uint64) {
-	ver := s.vs.Current()
-	return ver.View(), ver.Seq()
+// readPin is one request's read position: the result-cache token, taken
+// first, and then the version every part of the answer reads (view, seq and
+// relational image). Taking the token first means any invalidation after the
+// pin — a relevant commit, a replica's new root — keeps the answer out of
+// the cache.
+type readPin struct {
+	tok qcache.Token
+	ver *store.Version
+}
+
+// pin takes the cache token, then pins the current version.
+func (s *Server) pin() readPin {
+	var p readPin
+	if s.qc != nil {
+		p.tok = s.qc.Token()
+	}
+	p.ver = s.vs.Current()
+	return p
 }
 
 // servePoint answers one point query through the result cache: on a hit the
@@ -37,14 +49,14 @@ func (s *Server) viewSeq() (pg.View, uint64) {
 // it was computed at, which may trail the current one across irrelevant
 // commits); on a miss, build runs once — concurrent misses on the same key
 // share the computation — and the payload is stored unless the build was
-// truncated or a commit raced it.
+// truncated or an invalidation raced it.
 //
 // build returns the response body (which servePoint stamps with "seq") plus
 // the chase error, if any: a non-nil body with a non-nil error is a partial
 // (budget-truncated) answer, served with 200 but never cached; a nil body is
 // a hard failure, answered as a 500.
-func (s *Server) servePoint(w http.ResponseWriter, r *http.Request, seq uint64, key string, class qcache.Class, build func() (map[string]any, error)) {
-	compute := func() ([]byte, error) {
+func (s *Server) servePoint(w http.ResponseWriter, r *http.Request, p readPin, key string, class qcache.Class, build func() (map[string]any, error)) {
+	s.serveCached(w, r, p, key, class, http.StatusInternalServerError, "internal", "query failed", func() ([]byte, error) {
 		body, err := build()
 		if body == nil {
 			if err == nil {
@@ -52,25 +64,32 @@ func (s *Server) servePoint(w http.ResponseWriter, r *http.Request, seq uint64, 
 			}
 			return nil, err
 		}
-		body["seq"] = seq
+		body["seq"] = p.ver.Seq()
 		payload, merr := json.Marshal(body)
 		if merr != nil {
 			return nil, merr
 		}
 		return payload, err
-	}
+	})
+}
+
+// serveCached writes the payload of compute, run through the result cache
+// under p's token (or directly when the cache is disabled), with the X-Cache
+// header. A nil payload is answered as failStatus with the error.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, p readPin, key string, class qcache.Class,
+	failStatus int, failCode, failMsg string, compute func() ([]byte, error)) {
 	var (
 		payload []byte
 		hit     bool
 		err     error
 	)
 	if s.qc != nil {
-		payload, _, hit, err = s.qc.Do(key, class, seq, compute)
+		payload, _, hit, err = s.qc.DoToken(p.tok, key, class, p.ver.Seq(), compute)
 	} else {
 		payload, err = compute()
 	}
 	if payload == nil {
-		writeErr(w, r, http.StatusInternalServerError, "internal", "query failed: %v", err)
+		writeErr(w, r, failStatus, failCode, "%s: %v", failMsg, err)
 		return
 	}
 	cache := "miss"
@@ -131,18 +150,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "parsing program: %v", perr)
 		return
 	}
-	opts := s.engineOptions()
-	b := s.cfg.Budget
-	if req.MaxFacts > 0 && (b.MaxFacts == 0 || req.MaxFacts < b.MaxFacts) {
-		b.MaxFacts = req.MaxFacts
-		opts = append(opts, datalog.WithBudget(b))
-	}
-
-	v, seq := s.viewSeq()
-
+	p := s.pin()
 	key := queryKey(class, goal, progSrc, req.MaxFacts)
-	compute := func() ([]byte, error) {
-		res, err := vadalog.EvalGoal(r.Context(), v, progSrc, goal, opts...)
+	s.serveCached(w, r, p, key, class, http.StatusUnprocessableEntity, "unprocessable", "evaluating goal", func() ([]byte, error) {
+		res, err := vadalog.EvalGoal(r.Context(), p.ver.View(), progSrc, goal, s.requestOptions(p.ver, req.MaxFacts)...)
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +171,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			"mode":    res.Mode,
 			"answers": answerRows(res.Answers),
 			"count":   len(res.Answers),
-			"seq":     seq,
+			"seq":     p.ver.Seq(),
 		}
 		for k, vv := range truncMeta(runErr) {
 			resp[k] = vv
@@ -170,28 +181,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return nil, merr
 		}
 		return payload, runErr
+	})
+}
+
+// requestOptions is goalOptions(ver) with the server's fact budget
+// tightened to a request's maxFacts (which can lower the cap, never raise
+// it).
+func (s *Server) requestOptions(ver *store.Version, maxFacts int) []datalog.Option {
+	opts := s.goalOptions(ver)
+	if b := s.cfg.Budget; maxFacts > 0 && (b.MaxFacts == 0 || maxFacts < b.MaxFacts) {
+		b.MaxFacts = maxFacts
+		opts = append(opts, datalog.WithBudget(b))
 	}
-	var (
-		payload []byte
-		hit     bool
-	)
-	if s.qc != nil {
-		payload, _, hit, err = s.qc.Do(key, class, seq, compute)
-	} else {
-		payload, err = compute()
-	}
-	if payload == nil {
-		writeErr(w, r, http.StatusUnprocessableEntity, "unprocessable", "evaluating goal: %v", err)
-		return
-	}
-	cache := "miss"
-	if hit {
-		cache = "hit"
-	}
-	w.Header().Set("X-Cache", cache)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(payload)
+	return opts
 }
 
 // answerRows renders goal bindings as JSON objects keyed by variable name,

@@ -75,7 +75,6 @@ import (
 	"vadalink/internal/persist"
 	"vadalink/internal/pg"
 	"vadalink/internal/qcache"
-	"vadalink/internal/relstore"
 	"vadalink/internal/replication"
 	"vadalink/internal/store"
 	"vadalink/internal/vadalog"
@@ -256,6 +255,11 @@ type Server struct {
 	// stream via the IVM relevance classifier. nil when
 	// Config.QueryCacheBytes is negative.
 	qc *qcache.Cache
+
+	// img holds the relational image of the most recent version a request
+	// needed one for (image.go); imgStats counts the builds.
+	img      atomic.Pointer[imageSlot]
+	imgStats imageCounters
 
 	// ivmM maintains the derived ownership baseline incrementally across
 	// commits: the chain's commit hook queues each journal, and the next
@@ -664,6 +668,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		st := s.qc.Stats()
 		m.Cache = &st
 	}
+	m.Image = s.imageStats()
 	writeJSON(w, http.StatusOK, m)
 }
 
@@ -690,25 +695,24 @@ func truncMeta(err error) map[string]any {
 }
 
 // handleUBO lists the ultimate beneficial owners of a company:
-// GET /v1/ubo?node=ID.
-// handleUBO lists the ultimate beneficial owners of a company:
 // GET /v1/ubo?node=ID. The reverse question ("who controls this company?")
 // is where demand transformation pays most: the goal control(X, node) binds
 // the second argument, so only node's reverse ownership cone is derived
 // instead of running the control fixpoint from every person in the graph.
 func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request) {
-	v, seq := s.viewSeq()
+	p := s.pin()
+	v := p.ver.View()
 	node, err := parseNode(v, r, "node")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	s.servePoint(w, r, seq, fmt.Sprintf("ubo:%d", node), qcache.ClassDerived, func() (map[string]any, error) {
+	s.servePoint(w, r, p, fmt.Sprintf("ubo:%d", node), qcache.ClassDerived, func() (map[string]any, error) {
 		type item struct {
 			ID   pg.NodeID `json:"id"`
 			Name any       `json:"name,omitempty"`
 		}
-		ubos, mode, runErr := control.GoalUltimateControllers(r.Context(), v, node, s.engineOptions()...)
+		ubos, mode, runErr := control.GoalUltimateControllers(r.Context(), v, node, s.goalOptions(p.ver)...)
 		out := make([]item, 0, len(ubos))
 		for _, id := range ubos {
 			out = append(out, item{ID: id, Name: v.Node(id).Props["name"]})
@@ -747,7 +751,8 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 // handleExplain returns the derivation tree of a control decision — the §5
 // explainability property over HTTP: GET /v1/explain?from=ID&to=ID.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	v, seq := s.viewSeq()
+	p := s.pin()
+	v := p.ver.View()
 	from, err := parseNode(v, r, "from")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
@@ -758,7 +763,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	s.servePoint(w, r, seq, fmt.Sprintf("explain:%d:%d", from, to), qcache.ClassDerived, func() (map[string]any, error) {
+	s.servePoint(w, r, p, fmt.Sprintf("explain:%d:%d", from, to), qcache.ClassDerived, func() (map[string]any, error) {
 		// The explained pair is a fully bound goal: demand derives only the
 		// cone connecting from to to, and the provenance of that cone is all
 		// the tree needs. StripDemandMarkers removes the rewrite's magic and
@@ -770,7 +775,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		if perr != nil {
 			return nil, perr
 		}
-		opts := append(s.engineOptions(), datalog.WithProvenance())
+		opts := append(s.goalOptions(p.ver), datalog.WithProvenance())
 		mode := vadalog.GoalModeMagic
 		e, eerr := datalog.NewGoalEngine(prog, goal, opts...)
 		if eerr != nil {
@@ -783,7 +788,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 				return nil, eerr
 			}
 		}
-		e.AssertAll(relstore.CompanyGraphFacts(v))
 		runErr := e.RunContext(r.Context())
 		s.recordChase(e.Stats())
 		var be *datalog.BudgetExceededError
@@ -862,7 +866,8 @@ func parseNode(v pg.View, r *http.Request, param string) (pg.NodeID, error) {
 // boolean (fully bound demand — only the derivation cone connecting the two
 // is explored). Both route through the goal engine and the result cache.
 func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
-	v, seq := s.viewSeq()
+	p := s.pin()
+	v := p.ver.View()
 	node, err := parseNode(v, r, "node")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
@@ -875,8 +880,8 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		key := fmt.Sprintf("control:%d:%d", node, target)
-		s.servePoint(w, r, seq, key, qcache.ClassDerived, func() (map[string]any, error) {
-			ok, mode, runErr := control.GoalControlsPair(r.Context(), v, node, target, s.engineOptions()...)
+		s.servePoint(w, r, p, key, qcache.ClassDerived, func() (map[string]any, error) {
+			ok, mode, runErr := control.GoalControlsPair(r.Context(), v, node, target, s.goalOptions(p.ver)...)
 			resp := map[string]any{"node": node, "target": target, "controls": ok, "mode": mode}
 			for k, vv := range truncMeta(runErr) {
 				resp[k] = vv
@@ -885,8 +890,8 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.servePoint(w, r, seq, fmt.Sprintf("control:%d", node), qcache.ClassDerived, func() (map[string]any, error) {
-		controlled, mode, runErr := control.GoalControls(r.Context(), v, node, s.engineOptions()...)
+	s.servePoint(w, r, p, fmt.Sprintf("control:%d", node), qcache.ClassDerived, func() (map[string]any, error) {
+		controlled, mode, runErr := control.GoalControls(r.Context(), v, node, s.goalOptions(p.ver)...)
 		type item struct {
 			ID   pg.NodeID `json:"id"`
 			Name any       `json:"name,omitempty"`
@@ -907,8 +912,9 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 // The response is the {"pairs": [{"from", "to"}, ...]} envelope — earlier
 // releases leaked a bare capitalized array on the success path; see API.md.
 func (s *Server) handleControlPairs(w http.ResponseWriter, r *http.Request) {
-	v, seq := s.viewSeq()
-	s.servePoint(w, r, seq, "control/pairs", qcache.ClassDerived, func() (map[string]any, error) {
+	p := s.pin()
+	v := p.ver.View()
+	s.servePoint(w, r, p, "control/pairs", qcache.ClassDerived, func() (map[string]any, error) {
 		pairs, runErr := control.AllPairsCtx(r.Context(), v)
 		out := make([]map[string]pg.NodeID, 0, len(pairs))
 		for _, p := range pairs {
@@ -923,7 +929,8 @@ func (s *Server) handleControlPairs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
-	v, seq := s.viewSeq()
+	p := s.pin()
+	v := p.ver.View()
 	t := closelink.DefaultThreshold
 	if raw := r.URL.Query().Get("t"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
@@ -933,7 +940,7 @@ func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
 		}
 		t = v
 	}
-	s.servePoint(w, r, seq, fmt.Sprintf("closelinks:%g", t), qcache.ClassDerived, func() (map[string]any, error) {
+	s.servePoint(w, r, p, fmt.Sprintf("closelinks:%g", t), qcache.ClassDerived, func() (map[string]any, error) {
 		links, runErr := closelink.CloseLinksCtx(r.Context(), v, t, closelink.Options{})
 		type item struct {
 			A      pg.NodeID `json:"a"`
@@ -962,7 +969,8 @@ func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
 // cyclic graphs are part of the endpoint's contract); the response rides the
 // result cache and carries the seq and X-Cache stamps like every point read.
 func (s *Server) handleAccumulated(w http.ResponseWriter, r *http.Request) {
-	v, seq := s.viewSeq()
+	p := s.pin()
+	v := p.ver.View()
 	from, err := parseNode(v, r, "from")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
@@ -973,7 +981,7 @@ func (s *Server) handleAccumulated(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	s.servePoint(w, r, seq, fmt.Sprintf("accumulated:%d:%d", from, to), qcache.ClassDerived, func() (map[string]any, error) {
+	s.servePoint(w, r, p, fmt.Sprintf("accumulated:%d:%d", from, to), qcache.ClassDerived, func() (map[string]any, error) {
 		phi, runErr := closelink.AccumulatedCtx(r.Context(), v, from, to, closelink.Options{})
 		resp := map[string]any{"from": from, "to": to, "phi": phi}
 		for k, vv := range truncMeta(runErr) {
@@ -1291,19 +1299,13 @@ func (s *Server) handleReason(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "parsing program: %v", err)
 		return
 	}
-	opts := s.engineOptions()
-	b := s.cfg.Budget
-	if req.MaxFacts > 0 && (b.MaxFacts == 0 || req.MaxFacts < b.MaxFacts) {
-		b.MaxFacts = req.MaxFacts
-		opts = append(opts, datalog.WithBudget(b))
-	}
-	engine, err := datalog.NewEngine(prog, opts...)
+	// A program deriving an extensional predicate (an own(...) head) writes
+	// to a private copy of that relation; the shared image stays intact.
+	engine, err := datalog.NewEngine(prog, s.requestOptions(s.vs.Current(), req.MaxFacts)...)
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "preparing engine: %v", err)
 		return
 	}
-
-	engine.AssertAll(relstore.CompanyGraphFacts(s.view()))
 
 	runErr := engine.RunContext(r.Context())
 	s.recordChase(engine.Stats())

@@ -85,6 +85,15 @@ func CompanyGraphFacts(g pg.View) []datalog.Fact {
 	return facts
 }
 
+// Image builds the frozen relational image of g — CompanyGraphFacts loaded
+// once into a datalog.Base that any number of engines can mount read-only
+// (datalog.WithBase). Build it over an immutable view (a published
+// store.Version): the image is a copy, so later mutations of a mutable
+// graph do not reach it.
+func Image(g pg.View) *datalog.Base {
+	return datalog.NewBase(CompanyGraphFacts(g))
+}
+
 // GenericFacts promotes a property graph to the generic model of Algorithm 2:
 // node(id, props...), nodetype(id, type), link(id, from, to, w),
 // edgetype(id, type). Every label is promoted, so predicted edges round-trip

@@ -62,10 +62,22 @@ func ProgramForGoal(pred string) (string, bool) {
 // typed refusal (ErrNotDemandable) downgrades to full evaluation with the
 // mode reported in the result. Any other construction or parse error is
 // returned as-is.
+//
+// The image comes from opts when they mount one (datalog.WithBase — a
+// server passes the shared image of the version g belongs to); otherwise
+// EvalGoal builds a private one from g (relstore.Image). Either way the
+// engine mounts it, so there is one evaluation path.
 func EvalGoal(ctx context.Context, g pg.View, progSrc string, goal datalog.Atom, opts ...datalog.Option) (*GoalResult, error) {
 	prog, err := datalog.Parse(progSrc)
 	if err != nil {
 		return nil, err
+	}
+	var o datalog.Options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if o.Base == nil {
+		opts = append(opts[:len(opts):len(opts)], datalog.WithBase(relstore.Image(g)))
 	}
 	res := &GoalResult{Mode: GoalModeMagic}
 	e, err := datalog.NewGoalEngine(prog, goal, opts...)
@@ -79,7 +91,6 @@ func EvalGoal(ctx context.Context, g pg.View, progSrc string, goal datalog.Atom,
 			return nil, err
 		}
 	}
-	e.AssertAll(relstore.CompanyGraphFacts(g))
 	res.Engine = e
 	res.RunErr = e.RunContext(ctx)
 	res.Answers = finalizeAnswers(prog, goal, e)

@@ -201,3 +201,60 @@ func TestProgramForGoal(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalGoalFollowsMutatedGraph guards the image's lifetime: without a
+// mounted image EvalGoal extracts g on every call, so replaying one mutable
+// graph in place (as an oracle does) must see each mutation. An image
+// cached by view identity would keep answering for the graph as it was.
+func TestEvalGoalFollowsMutatedGraph(t *testing.T) {
+	g := pg.New()
+	p := g.AddNode(pg.LabelPerson, pg.Properties{"name": "P"})
+	c := g.AddNode(pg.LabelCompany, pg.Properties{"name": "C"})
+	e, err := g.AddShare(p, c, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goal := datalog.Atom{Pred: "control", Terms: []datalog.Term{datalog.Int(int64(p)), datalog.Int(int64(c))}}
+	controls := func() bool {
+		t.Helper()
+		res, err := EvalGoal(context.Background(), g, ControlProgram, goal)
+		if err != nil || res.RunErr != nil {
+			t.Fatalf("EvalGoal: %v / %v", err, res.RunErr)
+		}
+		return len(res.Answers) > 0
+	}
+	if controls() {
+		t.Fatal("a 30% stake controls")
+	}
+	if err := g.SetEdgeWeight(e, 0.8); err != nil {
+		t.Fatal(err)
+	}
+	if !controls() {
+		t.Fatal("after raising the stake to 80%, EvalGoal still answers for the old graph")
+	}
+	g.RemoveEdge(e)
+	if controls() {
+		t.Fatal("after removing the stake, EvalGoal still answers for the old graph")
+	}
+}
+
+// TestEvalGoalMountsCallerImage checks the option path: an image passed
+// through datalog.WithBase is what the goal reads, not g.
+func TestEvalGoalMountsCallerImage(t *testing.T) {
+	g := pg.New()
+	p := g.AddNode(pg.LabelPerson, pg.Properties{"name": "P"})
+	c := g.AddNode(pg.LabelCompany, pg.Properties{"name": "C"})
+	if _, err := g.AddShare(p, c, 0.8); err != nil {
+		t.Fatal(err)
+	}
+	img := relstore.Image(g)
+	empty := pg.New()
+	goal := datalog.Atom{Pred: "control", Terms: []datalog.Term{datalog.Int(int64(p)), datalog.Variable("Y")}}
+	res, err := EvalGoal(context.Background(), empty, ControlProgram, goal, datalog.WithBase(img))
+	if err != nil || res.RunErr != nil {
+		t.Fatalf("EvalGoal: %v / %v", err, res.RunErr)
+	}
+	if len(res.Answers) != 1 {
+		t.Fatalf("answers over the mounted image = %v, want control(%d, %d)", res.Answers, p, c)
+	}
+}
